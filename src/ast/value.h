@@ -91,8 +91,8 @@ class Value {
   /// than they are hashed, so the steady state is a plain load, while
   /// construction-only paths (e.g. wire decode) never pay for hashing.
   /// 0 marks "not yet computed"; a real hash of 0 is remapped to 1.
-  /// The cache is a relaxed atomic so concurrent readers (parallel Δ
-  /// rounds probing shared frozen relations, DESIGN.md §8) race only on
+  /// The cache is a relaxed atomic so concurrent readers (the driving
+  /// thread and the TCP transport's threads, DESIGN.md §8) race only on
   /// which thread publishes the identical value — the hash is a pure
   /// function of the immutable rep_, so no ordering is needed.
   uint64_t Hash() const {

@@ -23,13 +23,15 @@ constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 constexpr size_t kChunkMask = kChunkSize - 1;
 constexpr size_t kMaxChunks = size_t{1} << 16;
 
-// Append-only intern table, shared by every peer in the process.
-// Writers (Intern on a miss) take the mutex exclusively; Find takes it
-// shared. Readers holding a valid Symbol never take it at all: the id
-// they hold was published either by the same thread's Intern/Find
-// (whose lock release/acquire orders the entry write before the read)
-// or handed across a thread boundary whose own synchronization (e.g.
-// the ThreadPool barrier) carries the same happens-before edge.
+// Append-only intern table, shared by every peer in the process and by
+// every thread: the System's driving thread and the TCP transport's
+// reader/sender threads (DESIGN.md §8). Writers (Intern on a miss) take
+// the mutex exclusively; Find takes it shared. Readers holding a valid
+// Symbol never take it at all: the id they hold was published either by
+// the same thread's Intern/Find (whose lock release/acquire orders the
+// entry write before the read) or handed across a thread boundary whose
+// own synchronization (e.g. the transport's mutex-guarded inbox)
+// carries the same happens-before edge.
 struct Table {
   std::shared_mutex mu;
   std::unordered_map<std::string_view, uint32_t> ids;  // guarded by mu

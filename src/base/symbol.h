@@ -21,8 +21,8 @@ namespace wdl {
 /// stable content hash (HashString) for that.
 ///
 /// The table is process-wide, append-only, and thread-safe: it is the
-/// one structure every peer shares, so parallel stage evaluation
-/// (DESIGN.md §8) hits it from many threads at once. Intern/Find go
+/// one structure every peer shares, and the TCP transport's threads
+/// run alongside the stage-driving thread (DESIGN.md §8). Intern/Find go
 /// through a shared_mutex (exclusive only on a first-time intern);
 /// id -> entry resolution (str()/hash(), the evaluator's inner-loop
 /// path) is lock-free over chunked storage whose entries never move.

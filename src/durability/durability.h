@@ -106,9 +106,8 @@ struct DurabilityCounters {
 /// passes its CRC and replays its matching log, truncating any torn
 /// tail so appends resume after the last valid record.
 ///
-/// Not thread-safe: owned by one Peer and driven from whichever thread
-/// runs that peer's stage (the per-peer concurrency contract of
-/// DESIGN.md §8).
+/// Not thread-safe: owned by one Peer and driven from the System's
+/// driving thread, like the rest of the peer (DESIGN.md §8).
 class PeerDurability {
  public:
   /// Opens (creating the directory if needed) and performs the disk

@@ -36,8 +36,8 @@ uint32_t Crc32(std::string_view data);
 /// One WalWriter per open log file; appends go straight to the file
 /// descriptor (no buffering beyond the OS page cache), so a process
 /// crash after Append returns loses nothing. Not thread-safe — owned
-/// by one peer and driven from whichever thread runs that peer's
-/// stage, like everything else per-peer.
+/// by one peer and driven from the thread that runs its stages, like
+/// everything else per-peer.
 class WalWriter {
  public:
   /// Opens `path` for appending, creating it if absent.

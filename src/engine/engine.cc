@@ -1,23 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 
 namespace wdl {
-
-int DefaultEvalThreads() {
-  static const int v = [] {
-    const char* s = std::getenv("WDL_EVAL_THREADS");
-    if (s == nullptr) return 1;
-    int n = std::atoi(s);
-    return n >= 1 ? n : 1;
-  }();
-  return v;
-}
 
 Engine::Engine(std::string self_peer, EngineOptions options)
     : self_peer_(std::move(self_peer)),
@@ -27,171 +15,6 @@ Engine::Engine(std::string self_peer, EngineOptions options)
       evaluator_(&catalog_, self_peer_,
                  EvalOptions{options_.use_indexes,
                              options_.use_compiled_plans}) {}
-
-Engine::~Engine() = default;
-
-/// Intra-peer parallel Δ-rounds (DESIGN.md §8). A semi-naive round is
-/// parallelized by partitioning the previous iteration's Δ by tuple
-/// content hash across P workers, evaluating every rule's Δ-first plan
-/// variants on each partition against *frozen* relations (the workers'
-/// evaluators use the concurrent read paths and never mutate anything
-/// outside their own buffers), and replaying the per-worker emit
-/// buffers through the engine's ordinary serial sinks at the round
-/// barrier, in stable partition order. All bookkeeping — derivation
-/// tracker, contribution maps, next-Δ chaining, stats — therefore runs
-/// exactly the serial code on exactly the same events, just discovered
-/// concurrently. The final fixpoint is bit-identical across thread
-/// counts: rules are monotone within a round and relations are frozen
-/// mid-round, so a derivation the serial path finds via mid-round
-/// visibility is found here at most one round later (textbook
-/// semi-naive), converging to the same set.
-struct Engine::ParallelEval {
-  /// The per-round view of an active rule: its resolved plan and
-  /// whether its head deletes (replay must set the engine's
-  /// current-rule flag before invoking the sinks).
-  struct ParallelRule {
-    const RulePlan* plan;
-    bool deletes;
-  };
-  struct FactEmit {
-    uint32_t rule;
-    bool remote;
-    Fact fact;
-  };
-  struct Buffer {
-    std::vector<FactEmit> facts;
-    std::vector<Delegation> delegations;
-  };
-
-  ParallelEval(Catalog* catalog, const std::string& self_peer,
-               const EngineOptions& opts)
-      : pool(opts.eval_threads) {
-    EvalOptions wopts;
-    wopts.use_indexes = opts.use_indexes;
-    wopts.use_compiled_plans = true;
-    wopts.concurrent_reads = true;
-    workers.reserve(static_cast<size_t>(opts.eval_threads));
-    for (int i = 0; i < opts.eval_threads; ++i) {
-      workers.push_back(
-          std::make_unique<RuleEvaluator>(catalog, self_peer, wopts));
-    }
-    parts.resize(workers.size());
-    buffers.resize(workers.size());
-  }
-
-  /// One parallel semi-naive round. Partition assignment is by tuple
-  /// content hash, so it is independent of DeltaMap iteration order and
-  /// identical across runs; replay order (worker 0..P-1, emission order
-  /// within each) is therefore deterministic at a fixed thread count.
-  void RunRound(
-      const std::vector<ParallelRule>& rules, const DeltaMap& delta,
-      const std::function<void(uint32_t, bool, const Fact&)>& replay_fact,
-      const std::function<void(const Delegation&)>& replay_delegation,
-      EvalCounters* counters) {
-    const size_t p = workers.size();
-    for (DeltaMap& part : parts) part.clear();
-    TupleHasher hasher;
-    for (const auto& [sym, ds] : delta) {
-      for (const Tuple& t : ds.tuples()) {
-        parts[hasher(t) % p][sym].Insert(t);
-      }
-    }
-    for (Buffer& b : buffers) {
-      b.facts.clear();
-      b.delegations.clear();
-    }
-    pool.ParallelFor(static_cast<int>(p), [&](int w) {
-      const DeltaMap& part = parts[static_cast<size_t>(w)];
-      if (part.empty()) return;
-      RuleEvaluator& ev = *workers[static_cast<size_t>(w)];
-      Buffer& buf = buffers[static_cast<size_t>(w)];
-      uint32_t current = 0;
-      RuleEvaluator::Sinks s;
-      s.on_local_fact = [&](const Fact& f) {
-        buf.facts.push_back(FactEmit{current, false, f});
-      };
-      s.on_remote_fact = [&](const Fact& f) {
-        buf.facts.push_back(FactEmit{current, true, f});
-      };
-      s.on_delegation = [&](const Delegation& d) {
-        buf.delegations.push_back(d);
-      };
-      for (size_t r = 0; r < rules.size(); ++r) {
-        current = static_cast<uint32_t>(r);
-        const RulePlan& plan = *rules[r].plan;
-        const Rule& rule = plan.rule;
-        for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-          if (rule.body[pos].negated) continue;
-          ev.EvaluatePlan(plan, &part, static_cast<int>(pos), s);
-        }
-      }
-    });
-    for (size_t w = 0; w < p; ++w) {
-      for (const FactEmit& e : buffers[w].facts) {
-        replay_fact(e.rule, e.remote, e.fact);
-      }
-      for (const Delegation& d : buffers[w].delegations) {
-        replay_delegation(d);
-      }
-    }
-    for (auto& ev : workers) {
-      counters->MergeFrom(ev->counters());
-      ev->ResetCounters();
-    }
-  }
-
-  ThreadPool pool;
-  std::vector<std::unique_ptr<RuleEvaluator>> workers;
-  std::vector<DeltaMap> parts;   // reused across rounds
-  std::vector<Buffer> buffers;   // reused across rounds
-};
-
-namespace {
-
-/// True when `plan` may run inside a parallel Δ-round: compiled, a
-/// valid Δ-first variant at every positive body position (so per-
-/// partition work is |Δ-partition|-proportional, not a P-times
-/// duplicated prefix scan), and no delegation can arise (workers have
-/// no serial order for residual emission; the gate also implies every
-/// body atom lives at the evaluating peer, so no remote atom stops
-/// evaluation mid-body).
-bool PlanRoundEligible(const RulePlan* plan, Symbol self) {
-  if (plan == nullptr) return false;
-  if (plan->info.CanDelegate(self)) return false;
-  const std::vector<Atom>& body = plan->rule.body;
-  // A single-atom body compiles without variants (nothing to rotate),
-  // but the base plan's Δ-restriction at position 0 already iterates
-  // only the Δ — per-partition work is |Δ-partition|-proportional.
-  if (body.size() == 1) return true;
-  if (plan->delta_variants.size() < body.size()) return false;
-  for (size_t pos = 0; pos < body.size(); ++pos) {
-    if (body[pos].negated) continue;
-    if (!plan->delta_variants[pos].valid) return false;
-  }
-  return true;
-}
-
-/// Pre-builds every relation index `plan`'s access paths probe. The
-/// worker evaluators read concurrently and never build; already-built
-/// indexes stay current through the replayed inserts (OnInsert), so
-/// once per stage is enough.
-void PrebuildPlanIndexes(Catalog* catalog, const RulePlan& plan) {
-  ForEachIndexUse(plan, [&](Symbol rel_sym, size_t col) {
-    Relation* rel = catalog->Get(rel_sym);
-    if (rel != nullptr) rel->PrebuildIndex(col);
-  });
-}
-
-}  // namespace
-
-Engine::ParallelEval* Engine::EnsureParallelEval() {
-  if (options_.eval_threads <= 1) return nullptr;
-  if (parallel_ == nullptr) {
-    parallel_ =
-        std::make_unique<ParallelEval>(&catalog_, self_peer_, options_);
-  }
-  return parallel_.get();
-}
 
 Status Engine::LoadProgram(const Program& program,
                            std::vector<uint64_t>* rule_ids) {
@@ -894,71 +717,11 @@ void Engine::RunFixpoint(
       }
     } else {
       // Semi-naive: only join against the Δ of the previous iteration.
-      // When eval_threads > 1, the round-eligible rules run
-      // Δ-partitioned across the engine's worker pool with buffered
-      // emissions replayed through the sinks above (DESIGN.md §8);
-      // ineligible rules (delegation-capable, non-rotatable body) run
-      // the serial loop against the same frozen Δ after the replay
-      // barrier — a per-*rule* fallback, so one such rule no longer
-      // forces the whole round off the parallel path. The serial loop
-      // stays the oracle and the no-eligible-rules fallback.
-      ParallelEval* par = nullptr;
-      std::vector<ParallelEval::ParallelRule> prules;
-      std::vector<const ActiveRule*> serial_rules;
-      if (options_.eval_threads > 1 && options_.use_compiled_plans) {
-        std::vector<const ActiveRule*> eligible;
-        for (const ActiveRule& ar : active) {
-          (PlanRoundEligible(ar.plan, self_sym_) ? eligible : serial_rules)
-              .push_back(&ar);
-        }
-        if (!eligible.empty()) par = EnsureParallelEval();
-        if (par != nullptr) {
-          prules.reserve(eligible.size());
-          for (const ActiveRule* ar : eligible) {
-            prules.push_back(
-                ParallelEval::ParallelRule{ar->plan, ar->rule->head_deletes});
-            PrebuildPlanIndexes(&catalog_, *ar->plan);
-          }
-        } else {
-          serial_rules.clear();  // plain serial loop covers everything
-        }
-      }
-      auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-        current_rule_deletes = prules[r].deletes;
-        if (remote) {
-          sinks.on_remote_fact(f);
-        } else {
-          sinks.on_local_fact(f);
-        }
-      };
-      auto replay_delegation = [&](const Delegation& d) {
-        sinks.on_delegation(d);
-      };
       while (!next_delta.empty() &&
              iterations < options_.max_fixpoint_iterations) {
         delta = std::move(next_delta);
         next_delta = DeltaMap();
         ++iterations;
-        if (par != nullptr) {
-          ++evaluator_.mutable_counters()->parallel_rounds;
-          if (!serial_rules.empty()) {
-            ++evaluator_.mutable_counters()->parallel_mixed_rounds;
-          }
-          par->RunRound(prules, delta, replay_fact, replay_delegation,
-                        evaluator_.mutable_counters());
-          // Ineligible rules see the same frozen Δ, on the driving
-          // thread, after the parallel replay (emissions land in
-          // order-independent sets/maps, and semi-naive finds any
-          // derivation enabled by this round's parallel inserts at most
-          // one round later — same fixpoint as all-serial).
-          for (const ActiveRule* ar : serial_rules) {
-            for (size_t pos = 0; pos < ar->rule->body.size(); ++pos) {
-              if (ar->rule->body[pos].negated) continue;
-              evaluate(*ar, &delta, static_cast<int>(pos));
-            }
-          }
-          continue;
-        }
         for (const ActiveRule& ar : active) {
           for (size_t pos = 0; pos < ar.rule->body.size(); ++pos) {
             if (ar.rule->body[pos].negated) continue;
@@ -1817,66 +1580,12 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   }
 
   int iterations = 0;
-  // Parallel forward rounds under the same per-rule gate as
-  // RunFixpoint: round-eligible rules (compiled, Δ-first variants
-  // everywhere, no delegation possible) run Δ-partitioned; ineligible
-  // rules fall back to the serial loop within the same round, after the
-  // replay barrier. Replay routes buffered emissions through the
-  // ordinary sinks above, so tracker/contribution/delta bookkeeping is
-  // the serial code verbatim. (The serial path's body_reads_delta
-  // filter is skipped for the eligible rules — a rule whose body cannot
-  // read the Δ exits its variant's leading Δ-probe immediately, so the
-  // filter buys nothing in parallel mode; serial-fallback rules keep
-  // it.)
-  ParallelEval* par = nullptr;
-  std::vector<ParallelEval::ParallelRule> prules;
-  std::vector<const ActiveRule*> serial_rules;
-  if (options_.eval_threads > 1 && options_.use_compiled_plans) {
-    std::vector<const ActiveRule*> eligible;
-    for (const ActiveRule& ar : active) {
-      (PlanRoundEligible(ar.plan, self_sym_) ? eligible : serial_rules)
-          .push_back(&ar);
-    }
-    if (!eligible.empty()) par = EnsureParallelEval();
-    if (par != nullptr) {
-      prules.reserve(eligible.size());
-      for (const ActiveRule* ar : eligible) {
-        prules.push_back(
-            ParallelEval::ParallelRule{ar->plan, ar->ir->rule.head_deletes});
-        PrebuildPlanIndexes(&catalog_, *ar->plan);
-      }
-    } else {
-      serial_rules.clear();  // plain serial loop covers everything
-    }
-  }
-  auto replay_fact = [&](uint32_t r, bool remote, const Fact& f) {
-    current_rule_deletes = prules[r].deletes;
-    if (remote) {
-      sinks.on_remote_fact(f);
-    } else {
-      sinks.on_local_fact(f);
-    }
-  };
-  auto replay_delegation = [&](const Delegation& d) { sinks.on_delegation(d); };
   while (!delta.empty() && iterations < options_.max_fixpoint_iterations) {
     ++iterations;
     next_delta = DeltaMap();
-    if (par != nullptr) {
-      ++evaluator_.mutable_counters()->parallel_rounds;
-      if (!serial_rules.empty()) {
-        ++evaluator_.mutable_counters()->parallel_mixed_rounds;
-      }
-      par->RunRound(prules, delta, replay_fact, replay_delegation,
-                    evaluator_.mutable_counters());
-      for (const ActiveRule* ar : serial_rules) {
-        if (!body_reads_delta(*ar, delta)) continue;
-        evaluate_delta_positions(*ar, sinks, &delta);
-      }
-    } else {
-      for (const ActiveRule& ar : active) {
-        if (!body_reads_delta(ar, delta)) continue;
-        evaluate_delta_positions(ar, sinks, &delta);
-      }
+    for (const ActiveRule& ar : active) {
+      if (!body_reads_delta(ar, delta)) continue;
+      evaluate_delta_positions(ar, sinks, &delta);
     }
     delta = std::move(next_delta);
     next_delta = DeltaMap();

@@ -30,12 +30,6 @@ enum class EvalMode : uint8_t {
   kNaive = 1,
 };
 
-/// Process-wide default for EngineOptions::eval_threads: the
-/// WDL_EVAL_THREADS environment variable (read once), else 1. Lets CI
-/// drive existing suites through the parallel paths without touching
-/// their code.
-int DefaultEvalThreads();
-
 struct EngineOptions {
   EvalMode mode = EvalMode::kSemiNaive;
   bool use_indexes = true;
@@ -63,17 +57,8 @@ struct EngineOptions {
   bool use_incremental_maintenance = true;
   Dialect dialect = Dialect::kExtended;
   int max_fixpoint_iterations = 1 << 20;  // safety net; datalog terminates
-  /// Intra-peer parallelism (DESIGN.md §8): partition each semi-naive
-  /// round's Δ by tuple hash across this many workers, evaluate Δ-first
-  /// plan variants per partition into per-worker emit buffers, and
-  /// merge the buffers in stable partition order at the round barrier.
-  /// 1 (the default unless WDL_EVAL_THREADS overrides it) preserves
-  /// today's exact serial code path as the oracle; any thread count
-  /// yields bit-identical relation state. Rounds whose active rule set
-  /// is not eligible (interpreter mode, missing Δ-first variants,
-  /// delegation-capable rules) fall back to the serial path
-  /// transparently.
-  int eval_threads = DefaultEvalThreads();
+  /// Not a knob: a peer's stages run on the calling thread (DESIGN.md §8).
+  static constexpr int eval_threads = 1;
   /// Durable-peer mode (DESIGN.md §11): on a link reset, keep the
   /// inbound stream versions and skip the blanket outbound contribution
   /// re-serve. A durable peer restarts with its stream state intact, so
@@ -204,7 +189,6 @@ struct InstalledRule {
 class Engine {
  public:
   explicit Engine(std::string self_peer, EngineOptions options = {});
-  ~Engine();  // out-of-line: ParallelEval is incomplete here
 
   // Neither copyable nor movable: evaluator_ holds &catalog_, so a
   // moved Engine would evaluate against the moved-from catalog. (The
@@ -467,14 +451,6 @@ class Engine {
   bool HasLocalDerivation(const Fact& target);
   uint64_t IntensionalContentHash() const;
 
-  /// Parallel Δ-round machinery (engine.cc): the engine's thread pool,
-  /// per-worker evaluators, partitions, and emit buffers. Created
-  /// lazily on the first eligible round when eval_threads > 1; null
-  /// forever at eval_threads == 1, so the serial oracle path carries
-  /// zero parallel state.
-  struct ParallelEval;
-  ParallelEval* EnsureParallelEval();
-
   std::string self_peer_;
   Symbol self_sym_;  // interned self name (delegation-capability checks)
   EngineOptions options_;
@@ -482,7 +458,6 @@ class Engine {
   // Owned across stages so the plan cache persists: a rule is compiled
   // once per engine, not once per fixpoint.
   RuleEvaluator evaluator_;
-  std::unique_ptr<ParallelEval> parallel_;
 
   std::vector<InstalledRule> rules_;
   uint64_t next_rule_id_ = 1;

@@ -373,21 +373,11 @@ void RuleEvaluator::ExecFrom(const RulePlan& plan,
     const Value& key = atom.index_key_is_const ? atom.index_const
                                                : *slots_[atom.index_slot];
     ++counters_.index_lookups;
-    if (options_.concurrent_reads) {
-      relation->LookupEqualShared(static_cast<size_t>(atom.index_column), key,
-                                  visit);
-    } else {
-      relation->LookupEqual(static_cast<size_t>(atom.index_column), key,
-                            visit);
-    }
+    relation->LookupEqual(static_cast<size_t>(atom.index_column), key, visit);
     return;
   }
   ++counters_.full_scans;
-  if (options_.concurrent_reads) {
-    relation->ForEachShared(visit);
-  } else {
-    relation->ForEach(visit);
-  }
+  relation->ForEach(visit);
 }
 
 void RuleEvaluator::EmitHeadPlan(const RulePlan& plan, const Sinks& sinks) {

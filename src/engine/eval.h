@@ -77,12 +77,6 @@ struct EvalOptions {
   /// — the seed semantics, kept as a differential-testing oracle (see
   /// the plan/interpreter equivalence suite).
   bool use_compiled_plans = true;
-  /// Set on the per-worker evaluators of a parallel Δ-round (DESIGN.md
-  /// §8): relation reads go through the concurrent-safe Shared paths
-  /// (no scratch-buffer leases, no lazy index builds) because many
-  /// workers probe the same frozen relations at once. The coordinator
-  /// pre-builds every index the plans need (ForEachIndexUse).
-  bool concurrent_reads = false;
 };
 
 /// Per-evaluation counters (observability and bench instrumentation).
@@ -108,41 +102,6 @@ struct EvalCounters {
   uint64_t tuples_retracted = 0;  // over-deleted and not re-derived
   uint64_t tuples_rederived = 0;  // over-deleted, alternative found
   uint64_t rederive_checks = 0;   // head-bound existence probes run
-  // Parallel-evaluation telemetry (DESIGN.md §8): semi-naive rounds
-  // that ran Δ-partitioned across the engine's worker pool. Tests
-  // assert engagement through this (a parallel engine whose rounds all
-  // fell back to serial would pass fingerprint checks vacuously).
-  uint64_t parallel_rounds = 0;
-  // Of those, rounds where some active rules were round-ineligible
-  // (delegation-capable, non-rotatable body) and ran serially after the
-  // replay barrier while the eligible rules ran Δ-partitioned — the
-  // per-rule fallback. Zero means every parallel round was all-eligible.
-  uint64_t parallel_mixed_rounds = 0;
-
-  /// Accumulates `o` into this. The parallel round coordinator merges
-  /// each worker evaluator's counters into the main evaluator's at the
-  /// round barrier, so per-stage telemetry stays a single block
-  /// regardless of thread count.
-  void MergeFrom(const EvalCounters& o) {
-    tuples_examined += o.tuples_examined;
-    bindings_completed += o.bindings_completed;
-    delegations_emitted += o.delegations_emitted;
-    plans_compiled += o.plans_compiled;
-    plan_cache_hits += o.plan_cache_hits;
-    slot_bindings += o.slot_bindings;
-    index_lookups += o.index_lookups;
-    full_scans += o.full_scans;
-    delta_index_probes += o.delta_index_probes;
-    delta_scans += o.delta_scans;
-    negation_probes += o.negation_probes;
-    stages_incremental += o.stages_incremental;
-    stages_full += o.stages_full;
-    tuples_retracted += o.tuples_retracted;
-    tuples_rederived += o.tuples_rederived;
-    rederive_checks += o.rederive_checks;
-    parallel_rounds += o.parallel_rounds;
-    parallel_mixed_rounds += o.parallel_mixed_rounds;
-  }
 };
 
 /// Evaluates single rules against a peer's local catalog, left to right,

@@ -110,14 +110,12 @@ Status TcpNetwork::Start() {
 
 void TcpNetwork::Shutdown() {
   if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    // Unblocks accept(); some platforms need the close, not just the
-    // shutdown, for a listening socket.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes the accept() blocked on the listening socket. The
+  // close waits until the accept thread has exited: that thread reads
+  // listen_fd_, and a closed fd number could be reused under it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  CloseFd(listen_fd_);
 
   {
     std::lock_guard<std::mutex> lk(inbound_mutex_);

@@ -45,13 +45,15 @@ struct PeerOptions {
 /// envelopes into engine inputs. Peers are driven by a System but can
 /// also be used standalone in tests.
 ///
-/// Concurrency contract (DESIGN.md §8): a Peer's state is touched by
-/// exactly one thread at a time, but *different* peers' RunStage calls
-/// may run concurrently — everything a stage reads or writes is owned
-/// by this peer (engine, catalog, gate, sequence numbers, WAL) or is
-/// one of the process-wide thread-safe structures (the Symbol intern
-/// table). Envelope delivery (HandleEnvelope) and the returned
-/// envelopes' submission stay on the System's driving thread.
+/// Concurrency contract (DESIGN.md §8): a Peer is touched only by the
+/// System's driving thread — stages, envelope delivery
+/// (HandleEnvelope) and submission all run there, one peer after
+/// another. The only other threads in the process are TcpNetwork's:
+/// readers decode inbound frames concurrently with stages and senders
+/// write queued frames, both handing data over through the transport's
+/// mutex-guarded queues; they never touch peer state. What they share
+/// with stages is process-wide and thread-safe: the Symbol intern table
+/// and the Value::Hash memo.
 ///
 /// Durability semantics (DESIGN.md §11), active only with a data dir
 /// configured: every state-changing input — local writes through the

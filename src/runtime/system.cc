@@ -2,22 +2,11 @@
 
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "base/logging.h"
 
 namespace wdl {
-
-int DefaultWorkerThreads() {
-  static const int v = [] {
-    const char* s = std::getenv("WDL_WORKER_THREADS");
-    if (s == nullptr) return 1;
-    int n = std::atoi(s);
-    return n >= 1 ? n : 1;
-  }();
-  return v;
-}
 
 System::System(SystemOptions options)
     : options_(options),
@@ -132,35 +121,18 @@ RoundReport System::RunRound() {
   // Wrappers move external data in/out before the stages.
   SyncWrappers();
 
-  // Run a stage at every peer with pending work. Pending peers are
-  // collected in map (name) order; with worker_threads > 1 their
-  // stages run concurrently on the pool (peers are share-nothing
-  // except the thread-safe Symbol table), but outbound envelopes are
-  // buffered and submitted serially below in that same name order —
-  // byte-identical traffic, and on the simulated transport an
-  // identical RNG stream, to the serial loop.
+  // Run a stage at every peer with pending work, in map (name) order,
+  // submitting each stage's envelopes before the next stage runs. The
+  // submit order is therefore fixed by peer names, so traffic — and on
+  // the simulated transport the RNG stream — is identical run to run.
   uint64_t bytes_before = network_->StatsSnapshot().bytes_sent;
   std::vector<Peer*> pending;
   for (auto& [name, peer] : peers_) {
     if (peer->HasPendingWork()) pending.push_back(peer.get());
   }
   report.stages_run = pending.size();
-  std::vector<std::vector<Envelope>> stage_out(pending.size());
-  if (options_.worker_threads > 1 && pending.size() > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-    }
-    pool_->ParallelFor(static_cast<int>(pending.size()), [&](int i) {
-      stage_out[static_cast<size_t>(i)] =
-          pending[static_cast<size_t>(i)]->RunStage();
-    });
-  } else {
-    for (size_t i = 0; i < pending.size(); ++i) {
-      stage_out[i] = pending[i]->RunStage();
-    }
-  }
-  for (std::vector<Envelope>& envs : stage_out) {
-    for (Envelope& e : envs) {
+  for (Peer* peer : pending) {
+    for (Envelope& e : peer->RunStage()) {
       switch (e.message.type) {
         case MessageType::kDerivedSet:
           ++report.full_set_messages;

@@ -7,18 +7,11 @@
 #include <vector>
 
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "net/network.h"
 #include "runtime/peer.h"
 #include "runtime/wrapper.h"
 
 namespace wdl {
-
-/// Process-wide default for SystemOptions::worker_threads: the
-/// WDL_WORKER_THREADS environment variable (read once), else 1. Lets CI
-/// drive existing suites through the parallel stage scheduler without
-/// touching their code.
-int DefaultWorkerThreads();
 
 struct SystemOptions {
   uint64_t network_seed = 42;
@@ -30,16 +23,8 @@ struct SystemOptions {
   /// interval plus a resync round trip. 0 disables (the default:
   /// change-triggered repair only, as before).
   int heartbeat_interval_rounds = 0;
-  /// Inter-peer parallelism (DESIGN.md §8): peers with pending work run
-  /// their stages concurrently on a persistent worker pool, this many
-  /// ways. Peers are share-nothing except the thread-safe Symbol table,
-  /// so stages need no locking; outbound envelopes are buffered per
-  /// peer and submitted serially afterwards in peer-name order — the
-  /// exact order the serial loop submits in, so the simulated network's
-  /// RNG stream (and hence every fingerprint) is identical to
-  /// worker_threads == 1. 1 (the default unless WDL_WORKER_THREADS
-  /// overrides it) preserves today's exact code path as the oracle.
-  int worker_threads = DefaultWorkerThreads();
+  /// Not a knob: stages run on the calling thread (DESIGN.md §8).
+  static constexpr int worker_threads = 1;
   /// When true (production), peers are created as lightweight slots —
   /// the per-peer Engine materializes on first fact, first rule, or
   /// first inbound frame that carries engine work — so an idle peer
@@ -167,9 +152,6 @@ class System {
 
   SystemOptions options_;
   std::unique_ptr<Network> network_;
-  // Inter-peer stage pool; created lazily on the first round that has
-  // two or more pending peers and worker_threads > 1.
-  std::unique_ptr<ThreadPool> pool_;
   SimulatedNetwork* simulated_ = nullptr;  // network_ when simulated
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   std::vector<std::unique_ptr<Wrapper>> wrappers_;

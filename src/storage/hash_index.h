@@ -209,14 +209,6 @@ class LazyColumnIndexes {
 
   bool Has(size_t column) const { return indexes_.count(column) > 0; }
 
-  /// The already-built index on `column`, or nullptr. The concurrent
-  /// read path (Relation::LookupEqualShared) must never build — it
-  /// probes what the coordinator pre-built and falls back to a scan.
-  const HashIndex* Built(size_t column) const {
-    auto it = indexes_.find(column);
-    return it == indexes_.end() ? nullptr : &it->second;
-  }
-
   /// Collision-confirming probe: invokes `fn(const Tuple&)` on entries
   /// of `index` whose `column`-th value *equals* `value` (the index is
   /// keyed by hash only, so equality must be re-checked on every hit).

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "ast/value.h"
+
 #include "base/hash.h"
 #include "base/result.h"
 #include "base/rng.h"
@@ -181,6 +188,55 @@ TEST(SymbolTest, InvalidSymbolIsDistinctAndStable) {
   EXPECT_FALSE(invalid.valid());
   EXPECT_EQ(invalid, Symbol());
   EXPECT_NE(invalid, Symbol::Intern("base_test_sym_a"));
+}
+
+// The intern table and the Value hash memo are shared by the driving
+// thread and TcpNetwork's reader/sender threads. Several threads intern,
+// find and hash overlapping names at once, each in a different order;
+// every thread must see the same id per name and the same hash per
+// value. Run under TSan in CI.
+TEST(SymbolTest, ConcurrentInternFindAndValueHashAgree) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 2000;
+  std::vector<std::string> names;
+  std::vector<Value> values;
+  for (int i = 0; i < kNames; ++i) {
+    names.push_back("base_test_concurrent_" + std::to_string(i));
+    values.push_back(Value::String(names.back()));  // hash not yet memoized
+  }
+  std::vector<std::vector<uint32_t>> ids(kThreads,
+                                         std::vector<uint32_t>(kNames));
+  std::vector<std::vector<uint64_t>> hashes(kThreads,
+                                            std::vector<uint64_t>(kNames));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int k = 0; k < kNames; ++k) {
+        // Each thread walks the names from its own offset, so the
+        // first-time interns of a name race across threads.
+        int i = (k + t * kNames / kThreads) % kNames;
+        Symbol found = Symbol::Find(names[i]);
+        Symbol interned = Symbol::Intern(names[i]);
+        EXPECT_TRUE(!found.valid() || found == interned) << names[i];
+        EXPECT_EQ(interned.str(), names[i]);
+        ids[t][i] = interned.id();
+        hashes[t][i] = values[i].Hash();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < kNames; ++i) {
+    EXPECT_EQ(Symbol::Find(names[i]).id(), ids[0][i]);
+    uint64_t fresh = Value::String(names[i]).Hash();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(ids[t][i], ids[0][i]) << names[i];
+      EXPECT_EQ(hashes[t][i], fresh) << names[i];
+    }
+  }
 }
 
 TEST(RngTest, NextInRangeInclusive) {

@@ -4,7 +4,7 @@
 Usage:
   bench_compare.py BASELINE.json CURRENT.json [--suite SUITE]
                    [--fail-below R] [--counters PREFIX[,PREFIX...]]
-                   [--latency] [--memory] [--speedup]
+                   [--latency] [--memory]
 
 Prints a per-benchmark throughput table: baseline and current wall time
 per iteration, and the throughput ratio current-vs-baseline (>1 means
@@ -13,6 +13,10 @@ the current tree is faster: throughput in tuples/sec scales as
 mean follows. Exit status is 0 unless --fail-below is given and the
 overall geomean ratio falls below it (informational by default: bench
 boxes are noisy, especially CI runners).
+
+Times are normalised to ns whatever each benchmark's `time_unit`. When
+a file was recorded with repetitions, each benchmark's "median"
+aggregate row stands for it; otherwise its single iteration row does.
 
 --counters adds a second table of custom benchmark counters whose names
 start with one of the given prefixes (default when the flag is given
@@ -26,17 +30,48 @@ import math
 import sys
 
 
-def load_suites(path):
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def representative_rows(report):
+    """One row per benchmark, keyed by its run name: the "median"
+    aggregate when the run had repetitions, else the iteration row (the
+    median one by real_time, should several repetitions appear without
+    aggregates)."""
+    medians, iterations = {}, {}
+    for bench in report.get("benchmarks", []):
+        name = bench.get("run_name", bench["name"])
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[name] = bench
+        elif bench.get("run_type") == "iteration":
+            iterations.setdefault(name, []).append(bench)
+    rows = {}
+    for name, reps in iterations.items():
+        reps = sorted(reps, key=lambda b: b["real_time"])
+        rows[name] = reps[len(reps) // 2]
+    rows.update(medians)
+    return rows
+
+
+def real_time_ns(bench):
+    return bench["real_time"] * NS_PER_UNIT[bench.get("time_unit", "ns")]
+
+
+def load_doc(path):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "wdl-bench-baseline-v1":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
+    return doc
+
+
+def load_suites(path):
+    """Per-suite {benchmark: wall time per iteration in ns}."""
     suites = {}
-    for suite, report in doc.get("suites", {}).items():
-        for bench in report.get("benchmarks", []):
-            if bench.get("run_type") != "iteration":
-                continue
-            suites.setdefault(suite, {})[bench["name"]] = bench["real_time"]
+    for suite, report in load_doc(path).get("suites", {}).items():
+        for name, bench in representative_rows(report).items():
+            suites.setdefault(suite, {})[name] = real_time_ns(bench)
     return suites
 
 
@@ -50,19 +85,15 @@ STANDARD_KEYS = {
 
 
 def load_counters(path, prefixes):
-    with open(path) as f:
-        doc = json.load(f)
     suites = {}
-    for suite, report in doc.get("suites", {}).items():
-        for bench in report.get("benchmarks", []):
-            if bench.get("run_type") != "iteration":
-                continue
+    for suite, report in load_doc(path).get("suites", {}).items():
+        for name, bench in representative_rows(report).items():
             for key, value in bench.items():
                 if key in STANDARD_KEYS or not isinstance(value, (int, float)):
                     continue
                 if not any(key.startswith(p) for p in prefixes):
                     continue
-                suites.setdefault(suite, {})[(bench["name"], key)] = value
+                suites.setdefault(suite, {})[(name, key)] = value
     return suites
 
 
@@ -104,16 +135,12 @@ def load_latency(path):
     """Per-benchmark tail-latency counters (p50_ns/p95_ns/p99_ns),
     recorded by benches that time each iteration by hand (bench_query's
     bound-point lookups); absent elsewhere."""
-    with open(path) as f:
-        doc = json.load(f)
     suites = {}
-    for suite, report in doc.get("suites", {}).items():
-        for bench in report.get("benchmarks", []):
-            if bench.get("run_type") != "iteration":
-                continue
+    for suite, report in load_doc(path).get("suites", {}).items():
+        for name, bench in representative_rows(report).items():
             if not all(k in bench for k in LATENCY_KEYS):
                 continue
-            suites.setdefault(suite, {})[bench["name"]] = tuple(
+            suites.setdefault(suite, {})[name] = tuple(
                 bench[k] for k in LATENCY_KEYS)
     return suites
 
@@ -151,10 +178,8 @@ def print_latency(base_path, curr_path, suite_filter):
 def load_memory(path):
     """Suite-level peak RSS recorded by run_bench.cmake's rss_run
     wrapper; absent in baselines taken before the wrapper existed."""
-    with open(path) as f:
-        doc = json.load(f)
     return {suite: report.get("peak_rss_mb")
-            for suite, report in doc.get("suites", {}).items()}
+            for suite, report in load_doc(path).get("suites", {}).items()}
 
 
 def print_memory(base_path, curr_path, suite_filter):
@@ -183,38 +208,6 @@ def print_memory(base_path, curr_path, suite_filter):
         else:
             ratio = f"{'-':>8}"
         print(f"{suite:<{name_w}} {b_s:>10} {c_s:>10} {ratio}")
-
-
-def print_speedup(path, suite_filter):
-    """Thread-scaling table within one baseline: benchmarks whose name
-    ends in "/N" are grouped by the prefix, and each variant is shown
-    as a speedup over its "/1" sibling (the serial-oracle run)."""
-    suites = load_suites(path)
-    names = sorted(set(suite_filter) & set(suites)) if suite_filter \
-        else sorted(suites)
-    rows = []
-    for suite in names:
-        families = {}
-        for name, t in suites[suite].items():
-            head, _, arg = name.rpartition("/")
-            if head and arg.isdigit():
-                families.setdefault(head, {})[int(arg)] = t
-        for head in sorted(families):
-            variants = families[head]
-            if 1 not in variants or len(variants) < 2:
-                continue
-            t1 = variants[1]
-            for n in sorted(variants):
-                rows.append((f"{head}/{n}", variants[n], t1 / variants[n]))
-    if not rows:
-        return
-    name_w = max(len(r[0]) for r in rows) + 2
-    print()
-    print(f"thread scaling ({path})")
-    print(f"{'benchmark':<{name_w}} {'time':>10} {'speedup vs /1':>14}")
-    print("-" * (name_w + 26))
-    for label, t, speedup in rows:
-        print(f"{label:<{name_w}} {fmt_time(t):>10} {speedup:>13.2f}x")
 
 
 def fmt_time(ns):
@@ -248,10 +241,6 @@ def main():
     parser.add_argument("--memory", action="store_true",
                         help="also print the per-suite peak-RSS column "
                              "recorded by the rss_run wrapper")
-    parser.add_argument("--speedup", action="store_true",
-                        help="also print a thread-scaling table from the "
-                             "current file: benchmarks named NAME/N shown "
-                             "as speedup over their NAME/1 sibling")
     args = parser.parse_args()
 
     base = load_suites(args.baseline)
@@ -306,8 +295,6 @@ def main():
         print_latency(args.baseline, args.current, args.suite)
     if args.memory:
         print_memory(args.baseline, args.current, args.suite)
-    if args.speedup:
-        print_speedup(args.current, args.suite)
     return 0
 
 
