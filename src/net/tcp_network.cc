@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "base/logging.h"
 #include "base/string_util.h"
@@ -110,6 +111,12 @@ Status TcpNetwork::Start() {
 
 void TcpNetwork::Shutdown() {
   if (stopping_.exchange(true)) return;
+  {
+    // Taking the mutex orders this after any waiter's predicate check,
+    // so a WaitForInbox about to block cannot miss the notify.
+    std::lock_guard<std::mutex> lk(inbox_mutex_);
+  }
+  inbox_cv_.notify_all();
   // shutdown() wakes the accept() blocked on the listening socket. The
   // close waits until the accept thread has exited: that thread reads
   // listen_fd_, and a closed fd number could be reused under it.
@@ -170,14 +177,27 @@ void TcpNetwork::SetPeerAddressFile(const std::string& peer,
 }
 
 void TcpNetwork::PushInbox(Envelope e) {
-  std::lock_guard<std::mutex> lk(inbox_mutex_);
-  inbox_.push_back(std::move(e));
+  {
+    std::lock_guard<std::mutex> lk(inbox_mutex_);
+    inbox_.push_back(std::move(e));
+  }
+  inbox_cv_.notify_all();
 }
 
 void TcpNetwork::NoteReset(const std::string& peer) {
   if (stopping_) return;  // our own teardown is not a peer failure
-  std::lock_guard<std::mutex> lk(resets_mutex_);
-  resets_.push_back(peer);
+  {
+    std::lock_guard<std::mutex> lk(inbox_mutex_);
+    resets_.push_back(peer);
+  }
+  inbox_cv_.notify_all();
+}
+
+bool TcpNetwork::WaitForInbox(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lk(inbox_mutex_);
+  return inbox_cv_.wait_for(lk, timeout, [&] {
+    return !inbox_.empty() || !resets_.empty() || stopping_;
+  });
 }
 
 TcpNetwork::Link* TcpNetwork::GetOrCreateLink(const std::string& peer) {
@@ -199,7 +219,16 @@ Status TcpNetwork::Submit(Envelope envelope, double /*now*/) {
   if (!started_ || stopping_) {
     return Status::FailedPrecondition("TcpNetwork is not running");
   }
-  std::string bytes = EncodeEnvelope(envelope);
+  // Encode straight into the frame: a placeholder length prefix, the
+  // envelope, then the prefix patched to the envelope's size.
+  WireEncoder enc;
+  enc.PutU32(0);
+  enc.PutEnvelope(envelope);
+  std::string frame = enc.TakeBuffer();
+  const uint32_t len = static_cast<uint32_t>(frame.size() - kFramePrefixBytes);
+  for (size_t i = 0; i < kFramePrefixBytes; ++i) {
+    frame[i] = static_cast<char>(len >> (8 * i));
+  }
   {
     std::lock_guard<std::mutex> lk(stats_mutex_);
     ++stats_.messages_submitted;
@@ -213,14 +242,15 @@ Status TcpNetwork::Submit(Envelope envelope, double /*now*/) {
   if (local) {
     // Same-process peer: still round-trip the codec so byte accounting
     // and format coverage match the socket path.
-    Result<Envelope> decoded = DecodeEnvelope(bytes);
+    Result<Envelope> decoded =
+        DecodeEnvelope(std::string_view(frame).substr(kFramePrefixBytes));
     if (!decoded.ok()) {
       return Status::Internal("loopback decode failed: " +
                               decoded.status().ToString());
     }
     {
       std::lock_guard<std::mutex> lk(stats_mutex_);
-      stats_.bytes_sent += bytes.size();
+      stats_.bytes_sent += len;
       ++stats_.messages_delivered;
     }
     PushInbox(std::move(decoded).value());
@@ -231,13 +261,6 @@ Status TcpNetwork::Submit(Envelope envelope, double /*now*/) {
   if (link == nullptr) {
     return Status::NotFound("no address for peer " + envelope.to);
   }
-  std::string frame;
-  frame.reserve(kFramePrefixBytes + bytes.size());
-  uint32_t len = static_cast<uint32_t>(bytes.size());
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<char>(len >> (8 * i)));
-  }
-  frame += bytes;
   {
     std::lock_guard<std::mutex> lk(link->mutex);
     link->queue.push_back(std::move(frame));
@@ -325,7 +348,8 @@ void TcpNetwork::SendLoop(Link* link) {
 
     // Send the head frame outside the lock; it stays queued (and
     // HasInFlight stays true via `sending`) until fully on the wire.
-    std::string frame = link->queue.front();
+    // The reference stays valid: see Link::queue.
+    const std::string& frame = link->queue.front();
     int fd = link->fd;
     link->sending = true;
     lk.unlock();
@@ -333,9 +357,11 @@ void TcpNetwork::SendLoop(Link* link) {
     lk.lock();
     link->sending = false;
     if (ok) {
+      {
+        std::lock_guard<std::mutex> slk(stats_mutex_);
+        stats_.bytes_sent += frame.size() - kFramePrefixBytes;
+      }
       link->queue.pop_front();
-      std::lock_guard<std::mutex> slk(stats_mutex_);
-      stats_.bytes_sent += frame.size() - kFramePrefixBytes;
     } else {
       {
         std::lock_guard<std::mutex> slk(stats_mutex_);
@@ -466,7 +492,7 @@ TcpTransportStats TcpNetwork::TcpStatsSnapshot() const {
 std::vector<std::string> TcpNetwork::TakePeerResets() {
   std::vector<std::string> taken;
   {
-    std::lock_guard<std::mutex> lk(resets_mutex_);
+    std::lock_guard<std::mutex> lk(inbox_mutex_);
     taken.swap(resets_);
   }
   // Dedupe, preserving first-seen order.

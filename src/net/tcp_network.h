@@ -2,6 +2,7 @@
 #define WDL_NET_TCP_NETWORK_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -62,6 +63,10 @@ struct TcpTransportStats {
 /// affected peer through TakePeerResets(), which the runtime turns
 /// into stream resyncs (Engine::NoteLinkReset).
 ///
+/// A thread driving a System on this transport can block in
+/// WaitForInbox() between rounds (wdl_peerd does): reader threads,
+/// local loopback and reset notices wake it the moment there is work.
+///
 /// `now` timestamps are ignored: delivery is as fast as the wire.
 /// HasInFlight()/IsQuiescent() are *local* judgments (queued or
 /// undelivered frames at this endpoint); a remote peer may still be
@@ -105,6 +110,11 @@ class TcpNetwork : public Network {
 
   TcpTransportStats TcpStatsSnapshot() const;
 
+  /// Blocks until there is work for the driving thread — an envelope
+  /// to deliver or a peer reset to take — or the transport is
+  /// stopping, or `timeout` passes. Returns true unless it timed out.
+  bool WaitForInbox(std::chrono::milliseconds timeout);
+
  private:
   struct LinkAddress {
     std::string host;
@@ -118,8 +128,12 @@ class TcpNetwork : public Network {
     LinkAddress address;
     std::mutex mutex;
     std::condition_variable cv;
-    std::deque<std::string> queue;  // length-prefixed frames
-    bool sending = false;           // a frame is mid-send
+    // Length-prefixed frames. Submit only push_backs and only the
+    // sender thread pops, so the sender may read front() by reference
+    // outside the lock: push_back never invalidates references to
+    // existing deque elements.
+    std::deque<std::string> queue;
+    bool sending = false;  // a frame is mid-send
     int fd = -1;
     bool ever_connected = false;
     std::thread thread;
@@ -157,10 +171,11 @@ class TcpNetwork : public Network {
   std::mutex inbound_mutex_;
   std::vector<std::unique_ptr<InboundConn>> inbound_;
 
+  // Everything the driving thread waits for: inbox_cv_ is notified on
+  // every push to inbox_ or resets_, and on Shutdown.
   mutable std::mutex inbox_mutex_;
+  std::condition_variable inbox_cv_;
   std::vector<Envelope> inbox_;
-
-  std::mutex resets_mutex_;
   std::vector<std::string> resets_;
 
   mutable std::mutex stats_mutex_;

@@ -78,7 +78,7 @@ struct RoundReport {
 /// asynchronous transport (TcpNetwork) can be injected instead, in
 /// which case quiescence is a *local* judgment (remote peers of other
 /// processes may still be computing) and convergence is detected by
-/// staying idle — see RunUntilIdle.
+/// staying idle — see wdl_peerd's round loop (tools/wdl_peerd.cc).
 class System {
  public:
   explicit System(SystemOptions options = {});
@@ -132,15 +132,6 @@ class System {
   /// Runs rounds until the system is quiescent; returns the number of
   /// rounds it took, or FailedPrecondition after `max_rounds`.
   Result<int> RunUntilQuiescent(int max_rounds = 1000);
-
-  /// Real-time variant for asynchronous transports: runs rounds on the
-  /// wall clock, sleeping `sleep_ms` between empty ones, until the
-  /// system has been locally quiescent for `idle_rounds` consecutive
-  /// polls (heartbeat traffic does not count as work). Returns rounds
-  /// run, or FailedPrecondition after `max_wall_ms`. "Idle" is local:
-  /// a remote process may still send us something later.
-  Result<int> RunUntilIdle(int idle_rounds, int max_wall_ms,
-                           int sleep_ms = 1);
 
   bool IsQuiescent() const;
 

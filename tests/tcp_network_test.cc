@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,38 @@ int RawConnect(uint16_t port) {
             0);
   return fd;
 }
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+/// Runs WaitForInbox(timeout) on its own thread, recording what it
+/// returned and when. Construct it, give it time to block, act, then
+/// Join() before reading the results.
+class Waiter {
+ public:
+  Waiter(TcpNetwork* net, milliseconds timeout)
+      : thread_([this, net, timeout] {
+          woke_ = net->WaitForInbox(timeout);
+          returned_at_ = Clock::now();
+        }) {}
+  ~Waiter() { Join(); }
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+  bool woke() const { return woke_; }
+  Clock::time_point returned_at() const { return returned_at_; }
+
+ private:
+  bool woke_ = false;
+  Clock::time_point returned_at_;
+  std::thread thread_;  // last: it uses the fields above
+};
+
+// Long enough for a fresh thread to reach the wait on a loaded machine.
+constexpr milliseconds kLetWaiterBlock{50};
 
 std::string Framed(const std::string& payload) {
   std::string frame;
@@ -260,6 +293,86 @@ TEST(TcpNetworkTest, ReconnectsThroughAddressFileAndSignalsReset) {
   EXPECT_EQ(resets[0], "bob");
   EXPECT_GE(a.TcpStatsSnapshot().reconnects, 1u);
   ::unlink(addr_file.c_str());
+}
+
+TEST(TcpNetworkTest, WaitForInboxWakesWhenAFrameArrives) {
+  TcpNetwork a, b;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddLocalPeer("alice");
+  b.AddLocalPeer("bob");
+  a.SetPeerAddress("bob", "127.0.0.1", b.port());
+
+  Waiter waiter(&b, milliseconds(5000));
+  std::this_thread::sleep_for(kLetWaiterBlock);
+  const Clock::time_point sent = Clock::now();
+  ASSERT_TRUE(a.Submit(Hello("alice", "bob", 7), 0.0).ok());
+  waiter.Join();
+  EXPECT_TRUE(waiter.woke());
+  EXPECT_LT(waiter.returned_at() - sent, milliseconds(1000));
+  std::vector<Envelope> got = b.DeliverDue(0.0);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].seq, 7u);
+}
+
+TEST(TcpNetworkTest, WaitForInboxReturnsAtOnceWhenInboxIsNonEmpty) {
+  TcpNetwork net;
+  ASSERT_TRUE(net.Start().ok());
+  net.AddLocalPeer("alice");
+  ASSERT_TRUE(net.Submit(Hello("alice", "alice"), 0.0).ok());
+
+  const Clock::time_point start = Clock::now();
+  EXPECT_TRUE(net.WaitForInbox(milliseconds(5000)));
+  EXPECT_LT(Clock::now() - start, milliseconds(1000));
+  // Waiting consumes nothing: the envelope is still there to deliver.
+  EXPECT_EQ(net.DeliverDue(0.0).size(), 1u);
+}
+
+TEST(TcpNetworkTest, WaitForInboxTimesOutWhenNothingArrives) {
+  TcpNetwork net;
+  ASSERT_TRUE(net.Start().ok());
+  net.AddLocalPeer("alice");
+
+  const Clock::time_point start = Clock::now();
+  EXPECT_FALSE(net.WaitForInbox(milliseconds(50)));
+  const Clock::duration waited = Clock::now() - start;
+  EXPECT_GE(waited, milliseconds(45));
+  EXPECT_LT(waited, milliseconds(1000));
+}
+
+TEST(TcpNetworkTest, ShutdownWakesAWaiter) {
+  TcpNetwork net;
+  ASSERT_TRUE(net.Start().ok());
+
+  Waiter waiter(&net, milliseconds(5000));
+  std::this_thread::sleep_for(kLetWaiterBlock);
+  const Clock::time_point stopped = Clock::now();
+  net.Shutdown();
+  waiter.Join();
+  EXPECT_TRUE(waiter.woke());
+  EXPECT_LT(waiter.returned_at() - stopped, milliseconds(1000));
+}
+
+TEST(TcpNetworkTest, DroppedInboundConnectionWakesAWaiter) {
+  TcpNetwork b;
+  ASSERT_TRUE(b.Start().ok());
+  b.AddLocalPeer("bob");
+  auto a = std::make_unique<TcpNetwork>();
+  ASSERT_TRUE(a->Start().ok());
+  a->AddLocalPeer("alice");
+  a->SetPeerAddress("bob", "127.0.0.1", b.port());
+  ASSERT_TRUE(a->Submit(Hello("alice", "bob"), 0.0).ok());
+  // Drain the frame so only the reset can end the wait below.
+  ASSERT_TRUE(WaitUntil([&] { return !b.DeliverDue(0.0).empty(); }));
+
+  Waiter waiter(&b, milliseconds(5000));
+  std::this_thread::sleep_for(kLetWaiterBlock);
+  const Clock::time_point dropped = Clock::now();
+  a.reset();  // alice's process "dies"; bob's reader sees EOF
+  waiter.Join();
+  EXPECT_TRUE(waiter.woke());
+  EXPECT_LT(waiter.returned_at() - dropped, milliseconds(1000));
+  EXPECT_EQ(b.TakePeerResets(), std::vector<std::string>{"alice"});
 }
 
 }  // namespace

@@ -15,10 +15,15 @@
 // are re-read on every connect attempt, so a cluster can start in any
 // order and a restarted peer can come back on a fresh port.
 //
-// Example 3-peer cluster (see README):
-//   wdl_peerd --name alice --program alice.wdl --listen 0 \
-//     --addr-file /tmp/w/alice.addr --peer bob=@/tmp/w/bob.addr \
-//     --peer carol=@/tmp/w/carol.addr --fingerprint /tmp/w/alice.fp
+// Example 3-peer cluster (see README); alice's command line, wrapped:
+//   wdl_peerd --name alice --program alice.wdl --listen 0
+//     --addr-file run/alice.addr --peer bob=@run/bob.addr
+//     --peer carol=@run/carol.addr --fingerprint run/alice.fp
+//
+// Between rounds the daemon waits on the transport, which wakes it as
+// soon as a frame or a link reset arrives; the wait is capped at
+// kIdleWait, so an idle daemon still runs a round (heartbeats, idle
+// fingerprint publishing, the signal check) about once a millisecond.
 
 #include <atomic>
 #include <chrono>
@@ -30,7 +35,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/tcp_network.h"
@@ -40,6 +44,8 @@
 namespace {
 
 std::atomic<bool> g_stop{false};
+
+constexpr std::chrono::milliseconds kIdleWait{1};
 
 void HandleSignal(int) { g_stop = true; }
 
@@ -288,7 +294,7 @@ int main(int argc, char** argv) {
       }
       published = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    tcp->WaitForInbox(kIdleWait);
   }
   std::fprintf(stderr, "wdl_peerd %s exiting\n", args.name.c_str());
   return 0;
