@@ -90,22 +90,17 @@ void BM_RuleCustomizationReconvergence(benchmark::State& state) {
 BENCHMARK(BM_RuleCustomizationReconvergence)->Arg(10)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-// P1 — the PR3 claim under test: once a large view has converged, a
-// one-tuple change must cost wire bytes and compute proportional to the
-// *change*, not the view. Arg0 selects the protocol (0 = full-slice
-// oracle, 1 = differential), Arg1 the converged view size; the loop
-// body is one insert + reconvergence against a warm two-peer pipeline.
-// Expected shape: full-slice grows linearly in view size, differential
-// stays flat (the >=2x acceptance gap opens from ~1k tuples up).
+// P1 — once a large view has converged, a one-tuple change must cost
+// wire bytes and compute proportional to the *change*, not the view.
+// Arg0 is the converged view size; the loop body is one insert +
+// reconvergence against a warm two-peer pipeline. Expected shape: flat
+// in view size (`wire_bytes_per_change` identical across sizes).
 void BM_IncrementalChange(benchmark::State& state) {
-  const bool differential = state.range(0) != 0;
-  const int view_size = static_cast<int>(state.range(1));
+  const int view_size = static_cast<int>(state.range(0));
 
-  PeerOptions mode;
-  mode.engine.use_differential_propagation = differential;
   System system;
-  Peer* a = system.CreatePeer("a", mode);
-  Peer* hub = system.CreatePeer("hub", mode);
+  Peer* a = system.CreatePeer("a");
+  Peer* hub = system.CreatePeer("hub");
   (void)hub->LoadProgramText("collection int board@hub(x: int);");
   (void)a->LoadProgramText(
       "collection ext data@a(x: int);"
@@ -139,29 +134,23 @@ void BM_IncrementalChange(benchmark::State& state) {
                           pc.delta_deletes_shipped -
                           sender_before.delta_inserts_shipped -
                           sender_before.delta_deletes_shipped) / iters;
-  state.counters["full_tuples_per_change"] =
-      static_cast<double>(pc.full_tuples_shipped -
-                          sender_before.full_tuples_shipped) / iters;
   state.counters["resyncs"] = static_cast<double>(
       hub->engine().propagation_counters().resyncs_requested -
       resyncs_before);
 }
 BENCHMARK(BM_IncrementalChange)
-    ->ArgsProduct({{0, 1}, {100, 1000, 10000}})
+    ->Arg(100)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-// P2 — same comparison for churn with deletions: each iteration swaps
+// P2 — the same claim for churn with deletions: each iteration swaps
 // one tuple (insert one, delete another), the canonical "one user
 // changed one thing" round of the north-star workload.
 void BM_IncrementalSwap(benchmark::State& state) {
-  const bool differential = state.range(0) != 0;
-  const int view_size = static_cast<int>(state.range(1));
+  const int view_size = static_cast<int>(state.range(0));
 
-  PeerOptions mode;
-  mode.engine.use_differential_propagation = differential;
   System system;
-  Peer* a = system.CreatePeer("a", mode);
-  Peer* hub = system.CreatePeer("hub", mode);
+  Peer* a = system.CreatePeer("a");
+  Peer* hub = system.CreatePeer("hub");
   (void)hub->LoadProgramText("collection int board@hub(x: int);");
   (void)a->LoadProgramText(
       "collection ext data@a(x: int);"
@@ -182,28 +171,22 @@ void BM_IncrementalSwap(benchmark::State& state) {
       hub->engine().catalog().Get("board")->size());
 }
 BENCHMARK(BM_IncrementalSwap)
-    ->ArgsProduct({{0, 1}, {1000, 10000}})
+    ->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-// P3 — the PR4 claim under test: with incremental maintenance, the
-// *compute* cost of a stage tracks the change size, not the view size
-// (PR3 already made the wire cost O(change)). A converged recursive
-// view (transitive closure over a chain; 10k or 100k tuples) absorbs a
-// one-tuple change per stage: each iteration appends one edge at the
-// chain's end (Δ-driven forward derivation) and removes it again
-// (support-counted DRed retraction), so state is steady across
-// iterations. Arg0 selects the mode (0 = clear-and-recompute oracle,
-// 1 = incremental), Arg1 the chain length (142 -> ~10k-tuple view,
-// 448 -> ~100k). Expected shape: recompute grows with the view,
-// incremental stays flat; the `examined_per_change` /
-// `retracted_per_change` counters prove the work is O(change).
+// P3 — with incremental maintenance, the *compute* cost of a stage
+// tracks the change size, not the view size (P1 covers the wire cost).
+// A converged recursive view (transitive closure over a chain; 10k or
+// 100k tuples) absorbs a one-tuple change per stage: each iteration
+// appends one edge at the chain's end (Δ-driven forward derivation)
+// and removes it again (DRed retraction), so state is steady across
+// iterations. Arg0 is the chain length (142 -> ~10k-tuple view, 448 ->
+// ~100k). Expected shape: flat in view size; the `examined_per_change`
+// / `retracted_per_change` counters prove the work is O(change).
 void BM_IncrementalStage(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
-  const int chain = static_cast<int>(state.range(1));
+  const int chain = static_cast<int>(state.range(0));
 
-  EngineOptions opts;
-  opts.use_incremental_maintenance = incremental;
-  Engine engine("a", opts);
+  Engine engine("a");
   Result<Program> program = ParseProgram(R"(
     collection ext edge@a(x: int, y: int);
     collection int tc@a(x: int, y: int);
@@ -245,7 +228,7 @@ void BM_IncrementalStage(benchmark::State& state) {
   state.counters["stages_full"] = static_cast<double>(ec.stages_full);
 }
 BENCHMARK(BM_IncrementalStage)
-    ->ArgsProduct({{0, 1}, {142, 448}})
+    ->Arg(142)->Arg(448)
     ->Unit(benchmark::kMicrosecond);
 
 // Incremental propagation: with the pipeline warm, one more upload.

@@ -59,8 +59,8 @@ void BM_Figure2Topology(benchmark::State& state) {
     // Laptops are LAN-adjacent; everything to/from the cloud peers is
     // slower.
     SimulatedNetwork& net = app.system().network();
-    for (const std::string& laptop : {"Emilien", "Jules"}) {
-      for (const std::string& cloud : {"sigmod", "SigmodFB"}) {
+    for (const char* laptop : {"Emilien", "Jules"}) {
+      for (const char* cloud : {"sigmod", "SigmodFB"}) {
         net.SetLink(laptop, cloud, LinkConfig{.latency = cloud_latency});
         net.SetLink(cloud, laptop, LinkConfig{.latency = cloud_latency});
       }
@@ -98,14 +98,17 @@ BENCHMARK(BM_Figure2Topology)->Arg(1)->Arg(3)->Arg(10)
 
 // Demo-floor wifi jitter: the same workload with heavy delivery-time
 // jitter, which reorders messages across every link. The staged
-// protocol is insensitive to reordering (derived sets are full-state
-// replacements and updates are idempotent), so the workload converges
-// to the same wall contents — at the cost of extra rounds.
+// protocol is insensitive to reordering (the version gate drops stale
+// deltas, resyncs repair gaps, and updates are idempotent), so the
+// workload converges to the same wall contents — at the cost of extra
+// rounds.
 void BM_JitteryNetwork(benchmark::State& state) {
   double jitter = 0.5 * static_cast<double>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    WepicApp app(WepicOptions{.network_seed = 7});
+    WepicOptions options;
+    options.network_seed = 7;
+    WepicApp app(options);
     (void)app.SetupConference();
     (void)app.AddAttendee("Emilien");
     (void)app.AddAttendee("Jules");

@@ -78,26 +78,29 @@ void BM_RoundTripDelegation(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundTripDelegation);
 
-void BM_RoundTripDerivedSet(benchmark::State& state) {
-  DerivedSet s;
-  s.target_peer = "jules";
-  s.relation = "attendeePictures";
+// A resync snapshot: the whole contribution as one DerivedDelta.
+void BM_RoundTripSnapshotDelta(benchmark::State& state) {
+  DerivedDelta d;
+  d.target_peer = "jules";
+  d.relation = "attendeePictures";
+  d.snapshot = true;
+  d.version = 7;
   int n = static_cast<int>(state.range(0));
   for (int i = 0; i < n; ++i) {
-    s.tuples.push_back({Value::Int(i), Value::String("name"),
-                        Value::Double(0.5)});
+    d.inserts.push_back({Value::Int(i), Value::String("name"),
+                         Value::Double(0.5)});
   }
   Envelope e;
   e.from = "emilien";
   e.to = "jules";
-  e.message = Message::MakeDerivedSet(s);
+  e.message = Message::MakeDerivedDelta(d);
   for (auto _ : state) {
     std::string bytes = EncodeEnvelope(e);
     Result<Envelope> back = DecodeEnvelope(bytes);
     benchmark::DoNotOptimize(back);
   }
 }
-BENCHMARK(BM_RoundTripDerivedSet)->Arg(10)->Arg(1000);
+BENCHMARK(BM_RoundTripSnapshotDelta)->Arg(10)->Arg(1000);
 
 // Blob-heavy payloads (picture data dominates Wepic traffic).
 void BM_RoundTripBlobPayload(benchmark::State& state) {

@@ -204,13 +204,6 @@ void Engine::ApplyShippedDelegationRetract(uint64_t delegation_key) {
   sent_delegations_.erase(delegation_key);
 }
 
-uint64_t Engine::SentStreamVersion(const std::string& target_peer,
-                                   const std::string& relation) const {
-  auto it =
-      sent_contributions_.find(ContributionKey{target_peer, relation});
-  return it == sent_contributions_.end() ? 0 : it->second.version;
-}
-
 Result<bool> Engine::InsertFact(const Fact& fact) {
   if (fact.peer != self_peer_) {
     return Status::InvalidArgument("InsertFact of remote fact " +
@@ -225,9 +218,7 @@ Result<bool> Engine::InsertFact(const Fact& fact) {
   }
   dirty_ = true;
   Result<bool> r = catalog_.InsertFact(fact);
-  if (options_.use_incremental_maintenance && r.ok() && *r) {
-    direct_changes_.RecordInsert(fact.relation, fact.args);
-  }
+  if (r.ok() && *r) direct_changes_.RecordInsert(fact.relation, fact.args);
   return r;
 }
 
@@ -244,9 +235,7 @@ Result<bool> Engine::RemoveFact(const Fact& fact) {
   }
   dirty_ = true;
   Result<bool> r = catalog_.RemoveFact(fact);
-  if (options_.use_incremental_maintenance && r.ok() && *r) {
-    direct_changes_.RecordRemove(fact.relation, fact.args);
-  }
+  if (r.ok() && *r) direct_changes_.RecordRemove(fact.relation, fact.args);
   return r;
 }
 
@@ -258,26 +247,9 @@ void Engine::EnqueueFactDeletes(std::vector<Fact> facts) {
   for (Fact& f : facts) inbound_deletes_.push_back(std::move(f));
 }
 
-void Engine::EnqueueDerivedSet(const std::string& sender, DerivedSet set) {
-  // Full-slice sets are version-less snapshots: both protocols flow
-  // through one queue so application order matches arrival order.
-  InboundDerived in;
-  in.sender = sender;
-  in.versioned = false;
-  in.delta.target_peer = std::move(set.target_peer);
-  in.delta.relation = std::move(set.relation);
-  in.delta.snapshot = true;
-  in.delta.inserts = std::move(set.tuples);
-  inbound_derived_.push_back(std::move(in));
-}
-
 void Engine::EnqueueDerivedDelta(const std::string& sender,
                                  DerivedDelta delta) {
-  InboundDerived in;
-  in.sender = sender;
-  in.versioned = true;
-  in.delta = std::move(delta);
-  inbound_derived_.push_back(std::move(in));
+  inbound_derived_.push_back(InboundDerived{sender, std::move(delta)});
 }
 
 void Engine::EnqueueResyncRequest(const std::string& peer,
@@ -333,9 +305,7 @@ bool Engine::HasPendingWork() const {
          !pending_delete_rechecks_.empty() || !ran_any_stage_;
 }
 
-void Engine::ApplyInputs(StageStats* stats, bool* changed,
-                         StageChangeLog* log) {
-  (void)stats;
+void Engine::ApplyInputs(bool* changed, StageChangeLog& log) {
   // Deferred self-updates from the previous stage land first.
   for (const Fact& f : pending_self_updates_) {
     Result<bool> r = catalog_.InsertFact(f);
@@ -344,7 +314,7 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
                      << " failed: " << r.status();
     } else if (*r) {
       *changed = true;
-      if (log != nullptr) log->RecordInsert(f.relation, f.args);
+      log.RecordInsert(f.relation, f.args);
     }
   }
   pending_self_updates_.clear();
@@ -353,7 +323,7 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
     Result<bool> r = catalog_.RemoveFact(f);
     if (r.ok() && *r) {
       *changed = true;
-      if (log != nullptr) log->RecordRemove(f.relation, f.args);
+      log.RecordRemove(f.relation, f.args);
     }
   }
   pending_self_deletes_.clear();
@@ -371,26 +341,22 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
                      << " failed: " << r.status();
     } else if (*r) {
       *changed = true;
-      if (log != nullptr) log->RecordInsert(f.relation, f.args);
+      log.RecordInsert(f.relation, f.args);
     }
   }
   inbound_inserts_.clear();
 
   for (const Fact& f : inbound_deletes_) {
-    if (log != nullptr) {
-      // Incremental mode: a base delete aimed at a view has no durable
-      // effect (the recompute oracle re-seeds the view in the same
-      // stage, netting it out) — skip it instead of corrupting the
-      // persistent view state.
-      const Relation* rel = catalog_.Get(f.relation);
-      if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
-        continue;
-      }
+    // A base delete aimed at a view has no durable effect: views hold
+    // exactly what their sources derive.
+    const Relation* rel = catalog_.Get(f.relation);
+    if (rel != nullptr && rel->kind() == RelationKind::kIntensional) {
+      continue;
     }
     Result<bool> r = catalog_.RemoveFact(f);
     if (r.ok() && *r) {
       *changed = true;
-      if (log != nullptr) log->RecordRemove(f.relation, f.args);
+      log.RecordRemove(f.relation, f.args);
     }
   }
   inbound_deletes_.clear();
@@ -402,14 +368,14 @@ void Engine::ApplyInputs(StageStats* stats, bool* changed,
 }
 
 void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
-                                 StageChangeLog* log) {
+                                 StageChangeLog& log) {
   DerivedDelta& d = in.delta;
 
   // Version-only heartbeat (version == base_version, no payload): the
   // sender is telling us where its stream stands. If we have applied
   // less, a frame was lost and no later traffic repaired it — ask for a
   // resync; otherwise ignore. Never commits a version or applies data.
-  if (in.versioned && !d.snapshot && d.version == d.base_version) {
+  if (!d.snapshot && d.version == d.base_version) {
     if (slice_store_.StreamVersion(d.relation, in.sender) < d.version) {
       uint64_t& missing = resync_needed_[{in.sender, d.relation}];
       missing = std::max(missing, d.version);
@@ -418,30 +384,35 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     return;
   }
 
+  SliceStore::Gate gate =
+      d.snapshot
+          ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
+          : slice_store_.CheckDelta(d.relation, in.sender, d.base_version,
+                                    d.version);
+  if (gate == SliceStore::Gate::kGap) {
+    // A predecessor was lost; applying to a view would corrupt the
+    // slice. Ask the sender for a snapshot (step 3 ships the request).
+    uint64_t& missing = resync_needed_[{in.sender, d.relation}];
+    missing = std::max(missing, d.version);
+  }
+  // Commits the stream position of an update that carries no view work.
+  auto commit_version = [&]() {
+    if (gate != SliceStore::Gate::kApply) return;
+    if (d.snapshot) ++prop_counters_.snapshots_applied;
+    slice_store_.CommitVersion(d.relation, in.sender, d.version);
+  };
+
   Relation* rel = catalog_.Get(d.relation);
   if (rel == nullptr) {
     // A peer is telling us about a relation we do not know yet: the
     // paper's "peers may discover new relations". Create it as
     // extensional with inferred arity. A tuple-less update to an
-    // unknown relation has nothing to create or apply — but a
-    // *versioned* one still moves the stream: without the commit, an
-    // empty resync snapshot would leave the applied version behind and
-    // every later heartbeat would re-request the same resync forever.
+    // unknown relation has nothing to create or apply — but it still
+    // moves the stream: without the commit, an empty resync snapshot
+    // would leave the applied version behind and every later heartbeat
+    // would re-request the same resync forever.
     if (d.inserts.empty()) {
-      if (in.versioned) {
-        SliceStore::Gate gate =
-            d.snapshot
-                ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-                : slice_store_.CheckDelta(d.relation, in.sender,
-                                          d.base_version, d.version);
-        if (gate == SliceStore::Gate::kApply) {
-          if (d.snapshot) ++prop_counters_.snapshots_applied;
-          slice_store_.CommitVersion(d.relation, in.sender, d.version);
-        } else if (gate == SliceStore::Gate::kGap) {
-          uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-          missing = std::max(missing, d.version);
-        }
-      }
+      commit_version();
       return;
     }
     RelationDecl decl;
@@ -464,112 +435,48 @@ void Engine::ApplyInboundDerived(InboundDerived& in, bool* changed,
     // Updates are persistent: union-insert, never delete. Inserts apply
     // regardless of stream position (monotone, so replays and gapped
     // deltas can only add facts the sender really derived); the version
-    // gate below only decides bookkeeping and gap repair.
-    for (Tuple& t : d.inserts) {
-      // Copy instead of move when recording: the change log needs the
-      // tuple after a successful insert.
-      Result<bool> r =
-          log != nullptr ? rel->Insert(t) : rel->Insert(std::move(t));
+    // gate only decides bookkeeping and gap repair.
+    for (const Tuple& t : d.inserts) {
+      Result<bool> r = rel->Insert(t);
       if (!r.ok()) {
         WDL_LOG(Error) << "inbound derived tuple rejected by "
                        << rel->decl().PredicateId() << ": " << r.status();
       } else if (*r) {
         *changed = true;
-        if (log != nullptr) log->RecordInsert(d.relation, t);
+        log.RecordInsert(d.relation, t);
       }
     }
-    if (in.versioned) {
-      SliceStore::Gate gate =
-          d.snapshot
-              ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-              : slice_store_.CheckDelta(d.relation, in.sender,
-                                        d.base_version, d.version);
-      if (gate == SliceStore::Gate::kApply) {
-        if (d.snapshot) ++prop_counters_.snapshots_applied;
-        slice_store_.CommitVersion(d.relation, in.sender, d.version);
-      } else if (gate == SliceStore::Gate::kGap) {
-        uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-        missing = std::max(missing, d.version);
-      }
-    }
+    commit_version();
     return;
   }
 
-  // View semantics: the update targets this sender's slice. Only
+  // View semantics: the update edits this sender's slice, and only if
+  // the gate admits it (stale updates are already reflected). Only
   // schema-valid tuples enter the slice (invalid ones could never seed
-  // the view anyway).
-  auto filtered = [&](std::vector<Tuple>& tuples) {
-    TupleSet set;
-    set.reserve(tuples.size());
-    for (Tuple& t : tuples) {
-      if (rel->CheckTuple(t).ok()) set.insert(std::move(t));
-    }
-    return set;
-  };
-
-  // Support transitions (view membership gained/lost) feed the
-  // incremental maintenance log; the recompute oracle re-seeds views
-  // from the aggregate support map instead and skips the bookkeeping.
-  std::vector<Tuple> gained_storage, lost_storage;
-  std::vector<Tuple>* gained = log != nullptr ? &gained_storage : nullptr;
-  std::vector<Tuple>* lost = log != nullptr ? &lost_storage : nullptr;
-  auto record_transitions = [&]() {
-    if (log == nullptr) return;
-    for (Tuple& t : gained_storage) {
-      log->RecordSliceGain(d.relation, std::move(t));
-    }
-    for (Tuple& t : lost_storage) {
-      log->RecordSliceLoss(d.relation, std::move(t));
-    }
-  };
-
-  if (!in.versioned) {
-    // Full-slice protocol: replace wholesale. Change detection compares
-    // the stored and arriving sets directly — a hash collision must
-    // never suppress a real view change.
-    *changed |= slice_store_.ReplaceSlice(d.relation, in.sender,
-                                          filtered(d.inserts), gained, lost);
-    record_transitions();
-    return;
+  // the view anyway). Support transitions (view membership gained or
+  // lost) feed the incremental maintenance log.
+  if (gate != SliceStore::Gate::kApply) return;
+  d.inserts.erase(std::remove_if(d.inserts.begin(), d.inserts.end(),
+                                 [&](const Tuple& t) {
+                                   return !rel->CheckTuple(t).ok();
+                                 }),
+                  d.inserts.end());
+  std::vector<Tuple> gained, lost;
+  if (d.snapshot) {
+    ++prop_counters_.snapshots_applied;
+    *changed |= slice_store_.ApplySnapshot(
+        d.relation, in.sender,
+        TupleSet(std::make_move_iterator(d.inserts.begin()),
+                 std::make_move_iterator(d.inserts.end())),
+        d.version, &gained, &lost);
+  } else {
+    // ApplyDelta dedups per tuple itself.
+    *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
+                                        std::move(d.inserts), d.deletes,
+                                        d.version, &gained, &lost);
   }
-
-  SliceStore::Gate gate =
-      d.snapshot
-          ? slice_store_.CheckSnapshot(d.relation, in.sender, d.version)
-          : slice_store_.CheckDelta(d.relation, in.sender, d.base_version,
-                                    d.version);
-  switch (gate) {
-    case SliceStore::Gate::kApply:
-      if (d.snapshot) {
-        ++prop_counters_.snapshots_applied;
-        *changed |= slice_store_.ApplySnapshot(d.relation, in.sender,
-                                               filtered(d.inserts),
-                                               d.version, gained, lost);
-      } else {
-        // Validate in place; ApplyDelta dedups per tuple itself.
-        d.inserts.erase(
-            std::remove_if(d.inserts.begin(), d.inserts.end(),
-                           [&](const Tuple& t) {
-                             return !rel->CheckTuple(t).ok();
-                           }),
-            d.inserts.end());
-        *changed |= slice_store_.ApplyDelta(d.relation, in.sender,
-                                            std::move(d.inserts),
-                                            d.deletes, d.version, gained,
-                                            lost);
-      }
-      record_transitions();
-      break;
-    case SliceStore::Gate::kStale:
-      break;  // duplicate or reordered-old update: already reflected
-    case SliceStore::Gate::kGap: {
-      // A predecessor was lost; applying would corrupt the slice. Ask
-      // the sender for a snapshot instead (step 3 ships the request).
-      uint64_t& missing = resync_needed_[{in.sender, d.relation}];
-      missing = std::max(missing, d.version);
-      break;
-    }
-  }
+  for (Tuple& t : gained) log.RecordSliceGain(d.relation, std::move(t));
+  for (Tuple& t : lost) log.RecordSliceLoss(d.relation, std::move(t));
 }
 
 void Engine::ClearIntensionalRelations() {
@@ -578,7 +485,7 @@ void Engine::ClearIntensionalRelations() {
   });
 }
 
-void Engine::SeedIntensionalFromContributions(bool track_support) {
+void Engine::SeedIntensionalFromContributions() {
   slice_store_.ForEachContributedRelation([&](const std::string& name) {
     Relation* rel = catalog_.Get(name);
     if (rel == nullptr || rel->kind() != RelationKind::kIntensional) return;
@@ -588,7 +495,6 @@ void Engine::SeedIntensionalFromContributions(bool track_support) {
         WDL_LOG(Warning) << "contribution tuple rejected: " << r.status();
         return;
       }
-      if (track_support) tracker_.Ensure(name, t).external = true;
     });
   });
 }
@@ -598,8 +504,7 @@ void Engine::RunFixpoint(
     std::map<uint64_t, Delegation>* delegations,
     std::unordered_set<Fact, FactHasher>* self_updates,
     std::unordered_set<Fact, FactHasher>* self_deletes,
-    std::unordered_set<Fact, FactHasher>* remote_deletes,
-    DerivationTracker* tracker) {
+    std::unordered_set<Fact, FactHasher>* remote_deletes) {
   // Stratify the active rule set (single stratum when negation-free).
   std::vector<Rule> rule_bodies;
   rule_bodies.reserve(rules_.size());
@@ -663,13 +568,6 @@ void Engine::RunFixpoint(
         return;
       }
       if (intensional) {
-        // Every derivation event marks rule support, including events
-        // for tuples already resident (slice-seeded or re-derived):
-        // semi-naive evaluation fires each valid derivation at least
-        // once, so after the fixpoint the derived bit is exact.
-        if (tracker != nullptr) {
-          tracker->Ensure(f.relation, f.args).derived = true;
-        }
         Result<bool> r = rel->Insert(f.args);
         if (r.ok() && *r) {
           next_delta[rel->symbol()].Insert(f.args);
@@ -756,49 +654,36 @@ void Engine::ClearDeleteSuppression(const std::string& relation,
   if (sent_remote_deletes_.erase(f) == 0) return;
   // The fact went out as an insert after we had shipped its deletion:
   // if a deletion rule still derives it, the deletion must ship again.
-  // The next stage settles the verdict — the recompute oracle re-fires
-  // every deletion rule there anyway; the incremental path re-checks
-  // exactly the queued facts.
+  // The next stage settles the verdict — a recompute stage re-fires
+  // every deletion rule anyway; an incremental stage re-checks exactly
+  // the queued facts.
   pending_delete_rechecks_.insert(std::move(f));
   dirty_ = true;
 }
 
-/// Contribution sets ship only when they changed — decided by direct
-/// set comparison against what was last sent (hash-collision-proof).
-/// Under full-slice the whole contribution is re-sent; under the
-/// differential protocol only the inserts/deletes against the last-sent
-/// state go out, with stream versions so the receiver can order them.
-/// An emptied contribution ships once (as an empty set, or as a delta
-/// deleting the remainder) so the receiver clears its slice.
+/// Contributions ship only when they changed — decided by direct set
+/// comparison against what was last sent (hash-collision-proof) — and
+/// only as the inserts/deletes against that last-sent state, with
+/// stream versions so the receiver can order them. An emptied
+/// contribution ships once, as a delta deleting the remainder.
 void Engine::EmitContributions(
     std::map<ContributionKey, TupleSet>* contributions,
     StageResult* result) {
-  const bool differential = options_.use_differential_propagation;
-
   // Vanished contributions first: keys we shipped before that this
   // stage derived nothing for.
   for (auto& [key, sent] : sent_contributions_) {
     if (contributions->count(key) || sent.tuples.empty()) continue;
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      dd.deletes = SortedVector(sent.tuples);
-      result->stats.derived_tuples_out += dd.deletes.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet empty_set;
-      empty_set.target_peer = key.target_peer;
-      empty_set.relation = key.relation;
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(empty_set));
-    }
+    DerivedDelta dd;
+    dd.target_peer = key.target_peer;
+    dd.relation = key.relation;
+    dd.base_version = sent.version;
+    dd.version = sent.version + 1;
+    dd.deletes = SortedVector(sent.tuples);
+    result->stats.derived_tuples_out += dd.deletes.size();
+    prop_counters_.delta_deletes_shipped += dd.deletes.size();
+    ++prop_counters_.deltas_shipped;
+    result->outbound[key.target_peer].derived_deltas.push_back(
+        std::move(dd));
     sent.tuples.clear();
     ++sent.version;
   }
@@ -807,46 +692,28 @@ void Engine::EmitContributions(
   for (auto& [key, set] : *contributions) {
     SentContribution& sent = sent_contributions_[key];
     if (sent.tuples == set) continue;  // unchanged, stay silent
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      for (const Tuple& t : set) {
-        if (!sent.tuples.count(t)) dd.inserts.push_back(t);
-      }
-      for (const Tuple& t : sent.tuples) {
-        if (!set.count(t)) dd.deletes.push_back(t);
-      }
-      std::sort(dd.inserts.begin(), dd.inserts.end());
-      std::sort(dd.deletes.begin(), dd.deletes.end());
-      for (const Tuple& t : dd.inserts) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out +=
-          dd.inserts.size() + dd.deletes.size();
-      prop_counters_.delta_inserts_shipped += dd.inserts.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet ds;
-      ds.target_peer = key.target_peer;
-      ds.relation = key.relation;
-      ds.tuples = SortedVector(set);
-      // The full set re-sends every tuple as an insert; each one lands
-      // at the receiver again, so each one lifts its suppression.
-      for (const Tuple& t : ds.tuples) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out += ds.tuples.size();
-      prop_counters_.full_tuples_shipped += ds.tuples.size();
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(ds));
+    DerivedDelta dd;
+    dd.target_peer = key.target_peer;
+    dd.relation = key.relation;
+    dd.base_version = sent.version;
+    dd.version = sent.version + 1;
+    for (const Tuple& t : set) {
+      if (!sent.tuples.count(t)) dd.inserts.push_back(t);
     }
+    for (const Tuple& t : sent.tuples) {
+      if (!set.count(t)) dd.deletes.push_back(t);
+    }
+    std::sort(dd.inserts.begin(), dd.inserts.end());
+    std::sort(dd.deletes.begin(), dd.deletes.end());
+    for (const Tuple& t : dd.inserts) {
+      ClearDeleteSuppression(key.relation, key.target_peer, t);
+    }
+    result->stats.derived_tuples_out += dd.inserts.size() + dd.deletes.size();
+    prop_counters_.delta_inserts_shipped += dd.inserts.size();
+    prop_counters_.delta_deletes_shipped += dd.deletes.size();
+    ++prop_counters_.deltas_shipped;
+    result->outbound[key.target_peer].derived_deltas.push_back(
+        std::move(dd));
     sent.tuples = std::move(set);
     ++sent.version;
   }
@@ -862,7 +729,6 @@ void Engine::EmitContributionsIncremental(
     std::map<ContributionKey, TupleSet>* contrib_added,
     std::map<ContributionKey, TupleSet>* contrib_removed,
     StageResult* result) {
-  const bool differential = options_.use_differential_propagation;
   std::set<ContributionKey> dirty;
   for (const auto& [key, tuples] : *contrib_added) {
     if (!tuples.empty()) dirty.insert(key);
@@ -873,48 +739,24 @@ void Engine::EmitContributionsIncremental(
 
   for (const ContributionKey& key : dirty) {
     SentContribution& sent = sent_contributions_[key];
-    TupleSet& adds = (*contrib_added)[key];
-    TupleSet& rems = (*contrib_removed)[key];
-    if (differential) {
-      DerivedDelta dd;
-      dd.target_peer = key.target_peer;
-      dd.relation = key.relation;
-      dd.base_version = sent.version;
-      dd.version = sent.version + 1;
-      dd.inserts = SortedVector(adds);
-      dd.deletes = SortedVector(rems);
-      for (const Tuple& t : dd.inserts) {
-        sent.tuples.insert(t);
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
-      result->stats.derived_tuples_out +=
-          dd.inserts.size() + dd.deletes.size();
-      prop_counters_.delta_inserts_shipped += dd.inserts.size();
-      prop_counters_.delta_deletes_shipped += dd.deletes.size();
-      ++prop_counters_.deltas_shipped;
-      result->outbound[key.target_peer].derived_deltas.push_back(
-          std::move(dd));
-    } else {
-      DerivedSet ds;
-      ds.target_peer = key.target_peer;
-      ds.relation = key.relation;
-      auto it = current_contributions_.find(key);
-      if (it != current_contributions_.end()) {
-        ds.tuples = SortedVector(it->second);
-        sent.tuples = it->second;
-      } else {
-        sent.tuples.clear();
-      }
-      for (const Tuple& t : ds.tuples) {
-        ClearDeleteSuppression(key.relation, key.target_peer, t);
-      }
-      result->stats.derived_tuples_out += ds.tuples.size();
-      prop_counters_.full_tuples_shipped += ds.tuples.size();
-      ++prop_counters_.full_sets_shipped;
-      result->outbound[key.target_peer].derived_sets.push_back(
-          std::move(ds));
+    DerivedDelta dd;
+    dd.target_peer = key.target_peer;
+    dd.relation = key.relation;
+    dd.base_version = sent.version;
+    dd.version = sent.version + 1;
+    dd.inserts = SortedVector((*contrib_added)[key]);
+    dd.deletes = SortedVector((*contrib_removed)[key]);
+    for (const Tuple& t : dd.inserts) {
+      sent.tuples.insert(t);
+      ClearDeleteSuppression(key.relation, key.target_peer, t);
     }
+    for (const Tuple& t : dd.deletes) sent.tuples.erase(t);
+    result->stats.derived_tuples_out += dd.inserts.size() + dd.deletes.size();
+    prop_counters_.delta_inserts_shipped += dd.inserts.size();
+    prop_counters_.delta_deletes_shipped += dd.deletes.size();
+    ++prop_counters_.deltas_shipped;
+    result->outbound[key.target_peer].derived_deltas.push_back(
+        std::move(dd));
     ++sent.version;
     // Emptied contributions leave the current map (mirrors the
     // recompute path, where an underived key simply stops appearing).
@@ -943,9 +785,9 @@ void Engine::ServeResyncs(StageResult* result) {
       dd.version = it->second.version;
       dd.inserts = SortedVector(it->second.tuples);
     }
-    // A snapshot re-ships every tuple as an insert, exactly like a full
-    // set: each one lands at the receiver again and lifts any pending
-    // delete suppression for that fact.
+    // A snapshot re-ships every tuple as an insert: each one lands at
+    // the receiver again and lifts any pending delete suppression for
+    // that fact.
     for (const Tuple& t : dd.inserts) {
       ClearDeleteSuppression(relation, peer, t);
     }
@@ -1094,46 +936,34 @@ StageResult Engine::RunStage() {
     rules_changed_ = false;
   }
 
+  // Step 1: load inputs received since the previous stage, netting
+  // every change into the log that seeds an incremental stage.
   bool changed_local = false;
-  if (!options_.use_incremental_maintenance) {
-    // Step 1: load inputs received since the previous stage.
-    ApplyInputs(&result.stats, &changed_local, nullptr);
-    RunStageRecompute(&result, changed_local,
-                      /*rebuild_derived_state=*/false);
-    return result;
-  }
-
   StageChangeLog log = std::move(direct_changes_);
   direct_changes_ = StageChangeLog();
-  ApplyInputs(&result.stats, &changed_local, &log);
+  ApplyInputs(&changed_local, log);
 
-  if (!derived_state_ready_ || rule_set_changed || !ChangesEligible(log)) {
-    RunStageRecompute(&result, changed_local, /*rebuild_derived_state=*/true);
+  // The rule set starts out "changed", so the first stage recomputes
+  // and builds the derived state later stages evolve.
+  if (rule_set_changed || !ChangesEligible(log)) {
+    RunStageRecompute(&result, changed_local);
   } else {
     RunStageIncremental(&result, changed_local, &log);
   }
   return result;
 }
 
-void Engine::RunStageRecompute(StageResult* result, bool changed_local,
-                               bool rebuild_derived_state) {
-  DerivationTracker* tracker = nullptr;
-  uint64_t pre_hash = 0;
+void Engine::RunStageRecompute(StageResult* result, bool changed_local) {
   // A full fixpoint re-derives every deletion-rule verdict, so the
-  // queued per-fact rechecks are subsumed (this path *is* the oracle
-  // behavior the rechecks emulate).
+  // queued per-fact rechecks are subsumed.
   pending_delete_rechecks_.clear();
-  if (rebuild_derived_state) {
-    ++evaluator_.mutable_counters()->stages_full;
-    pre_hash = IntensionalContentHash();
-    tracker_.Clear();
-    tracker = &tracker_;
-  }
+  ++evaluator_.mutable_counters()->stages_full;
+  const uint64_t pre_hash = IntensionalContentHash();
 
   // Step 2: local fixpoint. Intensional relations are views: reset, then
   // re-seed with remote contributions, then derive.
   ClearIntensionalRelations();
-  SeedIntensionalFromContributions(/*track_support=*/tracker != nullptr);
+  SeedIntensionalFromContributions();
 
   std::map<ContributionKey, TupleSet> contributions;
   std::map<uint64_t, Delegation> delegations;
@@ -1141,7 +971,7 @@ void Engine::RunStageRecompute(StageResult* result, bool changed_local,
   std::unordered_set<Fact, FactHasher> self_deletes;
   std::unordered_set<Fact, FactHasher> remote_deletes;
   RunFixpoint(&result->stats, &contributions, &delegations, &self_updates,
-              &self_deletes, &remote_deletes, tracker);
+              &self_deletes, &remote_deletes);
 
   pending_self_updates_ = std::move(self_updates);
   pending_self_deletes_ = std::move(self_deletes);
@@ -1154,30 +984,17 @@ void Engine::RunStageRecompute(StageResult* result, bool changed_local,
     }
   }
 
-  if (rebuild_derived_state) {
-    // Snapshot the derived outputs before emission consumes them: they
-    // are the baseline the next incremental stages evolve.
-    current_contributions_ = contributions;
-    current_delegations_ = delegations;
-  }
+  // Snapshot the derived outputs before emission consumes them: they
+  // are the baseline the next incremental stages evolve.
+  current_contributions_ = contributions;
+  current_delegations_ = delegations;
 
   // Step 3: emit facts (updates) and rules (delegations) to other peers.
   EmitContributions(&contributions, result);
   EmitDelegationDiff(std::move(delegations), result);
   FinalizeOutbound(result);
 
-  bool views_changed;
-  uint64_t intensional_hash = IntensionalContentHash();
-  if (rebuild_derived_state) {
-    // Incremental stages don't maintain the cross-stage hash, so a
-    // fallback stage compares its own before/after states instead.
-    views_changed = intensional_hash != pre_hash;
-    derived_state_ready_ = true;
-  } else {
-    views_changed = intensional_hash != prev_intensional_hash_;
-  }
-  prev_intensional_hash_ = intensional_hash;
-
+  const bool views_changed = IntensionalContentHash() != pre_hash;
   result->changed = changed_local || views_changed ||
                     !result->outbound.empty() ||
                     !pending_self_updates_.empty() ||
@@ -1253,7 +1070,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       return;
     }
     if (intensional) {
-      tracker_.Ensure(f.relation, f.args).derived = true;
       Result<bool> r = rel->Insert(f.args);
       if (r.ok() && *r) {
         next_delta[rel->symbol()].Insert(f.args);
@@ -1326,9 +1142,11 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       frontier[rel->symbol()].Insert(t);
     }
   }
-  // View tuples whose slice support withdrew: external bit drops; the
-  // tuple dies — and cascades — only when no rule derivation holds it
-  // either (the support count hitting zero).
+  // View tuples whose last remote supporter withdrew are over-deleted
+  // like removed base tuples. A local derivation may still hold one,
+  // but that derivation may run through the tuple itself (v(y,x) :-
+  // v(x,y) keeps a withdrawn pair alive forever), so only the re-derive
+  // pass below may keep it.
   std::map<std::string, TupleSet> marked;
   for (const auto& [rel_name, tuples] : log->slice_lost()) {
     Relation* rel = catalog_.Get(rel_name);
@@ -1336,31 +1154,15 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       continue;
     }
     for (const Tuple& t : tuples) {
-      TupleSupport* s = tracker_.Find(rel_name, t);
-      if (s != nullptr) s->external = false;
-      if (s != nullptr && s->derived) continue;  // count still positive
       if (rel->Contains(t)) {
         frontier[rel->symbol()].Insert(t);
         marked[rel_name].insert(t);
       }
     }
   }
-  // Slice support gained: the external bit rises immediately (so the
-  // cascade below never retracts through these tuples); the physical
-  // insert seeds the forward pass after deletions settle.
-  for (const auto& [rel_name, tuples] : log->slice_gained()) {
-    Relation* rel = catalog_.Get(rel_name);
-    if (rel == nullptr || rel->kind() != RelationKind::kIntensional) {
-      continue;
-    }
-    for (const Tuple& t : tuples) {
-      tracker_.Ensure(rel_name, t).external = true;
-    }
-  }
 
   // ---- Over-delete closure (marking; nothing removed yet) -----------
   std::map<ContributionKey, TupleSet> marked_contrib;
-  std::unordered_set<Fact, FactHasher> recheck_derived;
   const bool any_deletions = !frontier.empty();
 
   RuleEvaluator::Sinks del_sinks;
@@ -1373,14 +1175,10 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     if (!rel->Contains(f.args)) return;
     TupleSet& m = marked[f.relation];
     if (m.count(f.args) > 0) return;
-    TupleSupport* s = tracker_.Find(f.relation, f.args);
-    if (s != nullptr && s->external) {
-      // Remote support keeps the count positive: no cascade. The
-      // derived bit may have just gone stale, though — re-check it once
-      // the deletions have settled.
-      recheck_derived.insert(f);
-      return;
-    }
+    // A tuple some remote peer still contributes stays in the view
+    // (the slice store already counts this stage's gains and losses):
+    // no cascade through it.
+    if (slice_store_.SupportCount(f.relation, f.args) > 0) return;
     m.insert(f.args);
     next_delta[rel->symbol()].Insert(f.args);
   };
@@ -1419,7 +1217,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
     for (const Tuple& t : tuples) {
       Result<bool> r = rel->Remove(t);
       if (!r.ok() || !*r) continue;
-      tracker_.Erase(rel_name, t);
       candidates.push_back(Candidate{&rel_name, rel, &t});
     }
   }
@@ -1436,7 +1233,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       Fact f(*it->relation, self_peer_, *it->tuple);
       if (HasLocalDerivation(f)) {
         (void)it->rel->Insert(*it->tuple);
-        tracker_.Ensure(*it->relation, *it->tuple).derived = true;
         ++counters->tuples_rederived;
         it = candidates.erase(it);
         progress = true;
@@ -1461,15 +1257,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
       record_contrib_remove(key, t);
       ++counters->tuples_retracted;
     }
-  }
-
-  // Externally-supported tuples the cascade reached: their rule-support
-  // bit must reflect the post-deletion database, or a later slice
-  // withdrawal would trust a stale count and fail to cascade.
-  for (const Fact& f : recheck_derived) {
-    TupleSupport* s = tracker_.Find(f.relation, f.args);
-    if (s == nullptr || !s->derived) continue;
-    if (!HasLocalDerivation(f)) s->derived = false;
   }
 
   // ---- Delegation rebuild -------------------------------------------
@@ -1533,8 +1320,8 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
   // Continuous-enforcement re-fires, seeding the loop: a deletion rule
   // whose head relation regained tuples must delete them again, and an
   // update rule whose (extensional) head relation lost tuples must
-  // re-assert them — exactly what the recompute oracle does by
-  // re-firing everything every stage.
+  // re-assert them — exactly what a recompute stage does by re-firing
+  // everything.
   next_delta = DeltaMap();
   {
     std::unordered_set<uint32_t> added_ids, removed_ids;
@@ -1627,7 +1414,6 @@ void Engine::RunStageIncremental(StageResult* result, bool changed_local,
 
 std::vector<DerivedDelta> Engine::CollectHeartbeats() {
   std::vector<DerivedDelta> out;
-  if (!options_.use_differential_propagation) return out;
   for (const auto& [key, sent] : sent_contributions_) {
     if (sent.version == 0) continue;  // nothing ever shipped
     DerivedDelta dd;
@@ -1666,7 +1452,6 @@ Status Engine::DropScratchRelation(const std::string& relation) {
     dirty_ = true;  // the notices must go out in a stage
   }
   slice_store_.DropRelation(relation);
-  tracker_.DropRelation(relation);
   if (!catalog_.Undeclare(relation)) {
     return Status::NotFound("relation " + relation + " is not declared");
   }

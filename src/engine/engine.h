@@ -36,25 +36,6 @@ struct EngineOptions {
   /// Compile rules to RulePlans (production) vs interpret the rule AST
   /// (the seed semantics, kept as a differential-testing oracle).
   bool use_compiled_plans = true;
-  /// Ship per-(peer, relation) contribution *changes* (DerivedDelta
-  /// messages with stream versions; production) vs re-sending the full
-  /// contribution on every change (the seed semantics, kept as a
-  /// differential-testing oracle — see DESIGN.md §5). Both converge to
-  /// identical state; the delta path's per-round cost is proportional
-  /// to the change size, not the view size.
-  bool use_differential_propagation = true;
-  /// Maintain intensional relations *incrementally* across stages
-  /// (production): views persist, per-stage Δ-sets (local EDB changes
-  /// plus slice-store support transitions) drive semi-naive evaluation
-  /// forward from the changed tuples only, and deletions retract by
-  /// support-counted DRed-style over-delete/re-derive (DESIGN.md §6).
-  /// When false, every stage clears views and recomputes the fixpoint
-  /// from scratch — the seed semantics, kept as the differential-
-  /// testing oracle like the plan/propagation oracles above. Stages an
-  /// incremental engine cannot serve soundly (rule-set changes, changes
-  /// touching negated relations, naive mode) fall back to a full
-  /// recompute transparently; both modes converge byte-identically.
-  bool use_incremental_maintenance = true;
   Dialect dialect = Dialect::kExtended;
   int max_fixpoint_iterations = 1 << 20;  // safety net; datalog terminates
   /// Not a knob: a peer's stages run on the calling thread (DESIGN.md §8).
@@ -71,22 +52,15 @@ struct EngineOptions {
   bool preserve_streams_on_reset = false;
 };
 
-/// The full current contribution of one sender to a remote relation.
-/// Receivers apply it by relation kind: extensional targets union-insert
-/// the tuples (updates are persistent); intensional targets replace the
-/// sender's previous slice (continuous view maintenance).
-struct DerivedSet {
-  std::string target_peer;
-  std::string relation;
-  std::vector<Tuple> tuples;
-};
-
 /// One differential update of a sender's contribution to a remote
-/// relation (DESIGN.md §5). Versions order one (sender, target,
-/// relation) stream: the delta moves it `base_version -> version`, so a
-/// receiver can drop duplicates and detect lost predecessors (and then
-/// ask for a resync). A `snapshot` carries the whole contribution in
-/// `inserts` (deletes empty) and repairs any gap.
+/// relation (DESIGN.md §5) — the only way derived facts travel.
+/// Versions order one (sender, target, relation) stream: the delta
+/// moves it `base_version -> version`, so a receiver can drop
+/// duplicates and detect lost predecessors (and then ask for a resync).
+/// A `snapshot` carries the whole contribution in `inserts` (deletes
+/// empty) and repairs any gap. Receivers apply updates by relation
+/// kind: extensional targets union-insert (updates are persistent);
+/// intensional targets edit the sender's slice of the view.
 struct DerivedDelta {
   std::string target_peer;
   std::string relation;
@@ -99,8 +73,7 @@ struct DerivedDelta {
 
 /// Everything a stage wants delivered to one remote peer.
 struct Outbound {
-  std::vector<DerivedSet> derived_sets;      // full-slice protocol
-  std::vector<DerivedDelta> derived_deltas;  // differential protocol
+  std::vector<DerivedDelta> derived_deltas;
   /// Relations whose contribution *from the target peer* must be re-sent
   /// in full (this peer detected a gap in the inbound delta stream).
   std::vector<std::string> resync_requests;
@@ -112,16 +85,14 @@ struct Outbound {
   std::vector<std::string> stream_forgets;
 
   bool empty() const {
-    return derived_sets.empty() && derived_deltas.empty() &&
-           resync_requests.empty() && fact_deletes.empty() &&
-           delegation_installs.empty() && delegation_retracts.empty() &&
-           stream_forgets.empty();
+    return derived_deltas.empty() && resync_requests.empty() &&
+           fact_deletes.empty() && delegation_installs.empty() &&
+           delegation_retracts.empty() && stream_forgets.empty();
   }
   size_t MessageCount() const {
-    return derived_sets.size() + derived_deltas.size() +
-           resync_requests.size() + (fact_deletes.empty() ? 0 : 1) +
-           delegation_installs.size() + delegation_retracts.size() +
-           stream_forgets.size();
+    return derived_deltas.size() + resync_requests.size() +
+           (fact_deletes.empty() ? 0 : 1) + delegation_installs.size() +
+           delegation_retracts.size() + stream_forgets.size();
   }
 };
 
@@ -133,9 +104,8 @@ struct StageStats {
   size_t active_rules = 0;
   size_t delegations_active = 0;
   size_t messages_out = 0;
-  /// Tuples shipped in derived sets and deltas this stage — the wire
-  /// payload of step 3. Under differential propagation this tracks the
-  /// change size; under full-slice it tracks the view size.
+  /// Tuples shipped in deltas and snapshots this stage — the wire
+  /// payload of step 3, proportional to the change size.
   uint64_t derived_tuples_out = 0;
 };
 
@@ -143,8 +113,6 @@ struct StageStats {
 /// stage it has run. Benches surface these next to EvalCounters so perf
 /// work can attribute wire-cost wins (ISSUE: bytes/delta telemetry).
 struct PropagationCounters {
-  uint64_t full_sets_shipped = 0;     // full-slice DerivedSet messages
-  uint64_t full_tuples_shipped = 0;   // tuples inside them
   uint64_t deltas_shipped = 0;        // DerivedDelta messages
   uint64_t delta_inserts_shipped = 0;
   uint64_t delta_deletes_shipped = 0;
@@ -233,7 +201,6 @@ class Engine {
   // --- Step-1 inputs, queued by the runtime between stages -----------
   void EnqueueFactInserts(std::vector<Fact> facts);
   void EnqueueFactDeletes(std::vector<Fact> facts);
-  void EnqueueDerivedSet(const std::string& sender, DerivedSet set);
   void EnqueueDerivedDelta(const std::string& sender, DerivedDelta delta);
   /// `peer` lost part of our contribution stream to `relation`@peer and
   /// asks for a full snapshot; served in the next stage's step 3.
@@ -257,10 +224,10 @@ class Engine {
   StageResult RunStage();
 
   /// Version-only DerivedDelta heartbeats for every contribution stream
-  /// this engine has shipped (differential protocol only): the receiver
-  /// compares the carried version against its applied stream version
-  /// and requests a resync on mismatch, bounding the staleness window
-  /// of a stream that went silent right after a dropped frame. Pure
+  /// this engine has shipped: the receiver compares the carried version
+  /// against its applied stream version and requests a resync on
+  /// mismatch, bounding the staleness window of a stream that went
+  /// silent right after a dropped frame. Pure
   /// observation — emitting heartbeats neither changes state nor marks
   /// the engine dirty; the runtime schedules them periodically.
   std::vector<DerivedDelta> CollectHeartbeats();
@@ -277,8 +244,8 @@ class Engine {
   /// surface these in their JSON so perf work can attribute wins.
   const EvalCounters& eval_counters() const { return evaluator_.counters(); }
 
-  /// Propagation-plane telemetry (tuples shipped full vs differential,
-  /// resync traffic), accumulated like eval_counters().
+  /// Propagation-plane telemetry (delta and snapshot tuples shipped,
+  /// resync and heartbeat traffic), accumulated like eval_counters().
   const PropagationCounters& propagation_counters() const {
     return prop_counters_;
   }
@@ -337,10 +304,6 @@ class Engine {
   /// receiver holds those tuples, not us).
   void ApplyShippedDelta(const DerivedDelta& delta);
   void ApplyShippedDelegationRetract(uint64_t delegation_key);
-  /// Current stream version of our contribution to `relation` at
-  /// `target_peer` (0 when no stream exists).
-  uint64_t SentStreamVersion(const std::string& target_peer,
-                             const std::string& relation) const;
   /// Visits every outbound contribution stream as (target_peer,
   /// relation, tuple set, version) — snapshot writers iterate this.
   template <typename Fn>
@@ -378,20 +341,16 @@ class Engine {
   using TupleSet = std::unordered_set<Tuple, TupleHasher>;
 
   /// What we last shipped for one (target peer, relation): the full
-  /// tuple set (the diffing base of differential propagation, and the
-  /// direct-comparison change detector of both modes — hashes are never
-  /// trusted for suppression) plus the stream version.
+  /// tuple set (the diffing base of the next delta, compared directly —
+  /// hashes are never trusted for suppression) plus the stream version.
   struct SentContribution {
     TupleSet tuples;
     uint64_t version = 0;
   };
 
-  /// One queued inbound contribution update. Full-slice DerivedSets
-  /// arrive as version-less snapshots, so both protocols flow through
-  /// one queue in arrival order.
+  /// One queued inbound contribution update, applied in arrival order.
   struct InboundDerived {
     std::string sender;
-    bool versioned = false;
     DerivedDelta delta;
   };
 
@@ -411,11 +370,11 @@ class Engine {
   void NoteRuleSetChanged();
   void RefreshProgramInfo();
   bool ChangesEligible(const StageChangeLog& log) const;
-  void ApplyInputs(StageStats* stats, bool* changed, StageChangeLog* log);
+  void ApplyInputs(bool* changed, StageChangeLog& log);
   void ApplyInboundDerived(InboundDerived& in, bool* changed,
-                           StageChangeLog* log);
+                           StageChangeLog& log);
   void ClearIntensionalRelations();
-  void SeedIntensionalFromContributions(bool track_support);
+  void SeedIntensionalFromContributions();
   /// Erases the ship-once suppression entry for a fact this stage
   /// re-ships as an insert, and schedules the next stage to re-derive
   /// (and re-ship) any deletion-rule verdict on it.
@@ -437,13 +396,13 @@ class Engine {
                    std::map<uint64_t, Delegation>* delegations,
                    std::unordered_set<Fact, FactHasher>* self_updates,
                    std::unordered_set<Fact, FactHasher>* self_deletes,
-                   std::unordered_set<Fact, FactHasher>* remote_deletes,
-                   DerivationTracker* tracker);
-  /// The seed semantics: clear views, reseed from slices, recompute the
-  /// fixpoint. Serves recompute-mode stages and doubles as the init /
-  /// fallback path of incremental mode (`rebuild_derived_state`).
-  void RunStageRecompute(StageResult* result, bool changed_local,
-                         bool rebuild_derived_state);
+                   std::unordered_set<Fact, FactHasher>* remote_deletes);
+  /// Clear views, reseed them from the slices, recompute the fixpoint,
+  /// and rebuild the derived state the incremental stages evolve. Serves
+  /// the first stage and every stage an incremental pass cannot serve
+  /// soundly (rule-set changes, changes touching negated relations,
+  /// naive mode).
+  void RunStageRecompute(StageResult* result, bool changed_local);
   /// The Δ-driven stage: deletion cascade (over-delete / re-derive),
   /// then semi-naive forward evaluation from the change seeds only.
   void RunStageIncremental(StageResult* result, bool changed_local,
@@ -490,10 +449,9 @@ class Engine {
   std::unordered_set<Fact, FactHasher> pending_self_deletes_;
 
   // Remote contributions to local intensional relations: per-sender
-  // slices with support counts and delta-stream versions. Under the
-  // recompute oracle the union is re-seeded into the view relations at
-  // every stage start; under incremental maintenance only support
-  // transitions flow into the views.
+  // slices with support counts and delta-stream versions. Recompute
+  // stages re-seed the views from their union; incremental stages see
+  // only support transitions.
   SliceStore slice_store_;
 
   // What we already shipped, for change detection and delta diffing.
@@ -505,30 +463,24 @@ class Engine {
   std::unordered_set<Fact, FactHasher> sent_remote_deletes_;
 
   // --- incremental-maintenance state (DESIGN.md §6) -------------------
-  // Per-tuple support records of resident derived tuples.
-  DerivationTracker tracker_;
-  // Net direct InsertFact/RemoveFact changes since the last stage
-  // (incremental mode records them; recompute re-reads everything).
+  // Net direct InsertFact/RemoveFact changes since the last stage.
   StageChangeLog direct_changes_;
   // The current derived contribution per (target peer, relation) and
   // the current delegation set — maintained across stages so emission
-  // diffs are O(change); the recompute oracle rebuilds them per stage.
+  // diffs are O(change); recompute stages rebuild them.
   std::map<ContributionKey, TupleSet> current_contributions_;
   std::map<uint64_t, Delegation> current_delegations_;
   // Facts whose delete-suppression entry was cleared by an insert
   // re-ship: next stage re-checks active deletion rules against them.
   std::unordered_set<Fact, FactHasher> pending_delete_rechecks_;
-  // True once a full stage has populated tracker_ and the current_*
-  // maps; until then every stage recomputes.
-  bool derived_state_ready_ = false;
   // Rule set changed since the last stage: the next stage recomputes
-  // (and refreshes program_info_).
+  // (and refreshes program_info_). Starts true, so the first stage
+  // builds the current_* maps.
   bool rules_changed_ = true;
   ProgramInfo program_info_;
 
   PropagationCounters prop_counters_;
 
-  uint64_t prev_intensional_hash_ = 0;
   bool ran_any_stage_ = false;
   // Set by every mutating API call (rule/fact changes) so the runtime
   // knows a stage is needed; cleared by RunStage.

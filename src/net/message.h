@@ -10,14 +10,16 @@
 
 namespace wdl {
 
-/// Wire message taxonomy. The first three carry data (facts/updates),
-/// the next two carry programs (delegations) — the paper's step 3:
-/// "the peer sends facts (updates) and rules (delegations) to other
-/// peers". kHello is peer discovery.
+/// Wire message taxonomy. Fact updates and contribution deltas carry
+/// data, delegation installs/retracts carry programs — the paper's step
+/// 3: "the peer sends facts (updates) and rules (delegations) to other
+/// peers". kHello is peer discovery; resync requests and stream forgets
+/// are the delta protocol's control plane. Tags are wire values and
+/// never renumber.
 enum class MessageType : uint8_t {
   kFactInserts = 0,       // base-fact updates, persistent at receiver
   kFactDeletes = 1,       // base-fact deletions
-  kDerivedSet = 2,        // sender's full derived contribution (see Engine)
+  // 2 was the retired full-slice contribution set; decoders reject it.
   kDelegationInstall = 3, // install a residual rule at the receiver
   kDelegationRetract = 4, // retract a previously installed delegation
   kHello = 5,             // peer announcement (discovery)
@@ -32,7 +34,6 @@ const char* MessageTypeToString(MessageType type);
 struct Message {
   MessageType type = MessageType::kHello;
   std::vector<Fact> facts;     // kFactInserts / kFactDeletes
-  DerivedSet derived;          // kDerivedSet
   DerivedDelta delta;          // kDerivedDelta
   Delegation delegation;       // kDelegationInstall
   uint64_t delegation_key = 0; // kDelegationRetract
@@ -41,7 +42,6 @@ struct Message {
 
   static Message FactInserts(std::vector<Fact> facts);
   static Message FactDeletes(std::vector<Fact> facts);
-  static Message MakeDerivedSet(DerivedSet set);
   static Message MakeDerivedDelta(DerivedDelta delta);
   static Message ResyncRequest(std::string relation);
   static Message StreamForget(std::string relation);

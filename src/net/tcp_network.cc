@@ -248,12 +248,14 @@ Status TcpNetwork::Submit(Envelope envelope, double /*now*/) {
       return Status::Internal("loopback decode failed: " +
                               decoded.status().ToString());
     }
+    // Count only once the envelope is in the inbox: a caller that waits
+    // for the counter must then find it there.
+    PushInbox(std::move(decoded).value());
     {
       std::lock_guard<std::mutex> lk(stats_mutex_);
       stats_.bytes_sent += len;
       ++stats_.messages_delivered;
     }
-    PushInbox(std::move(decoded).value());
     return Status::OK();
   }
 
@@ -444,12 +446,14 @@ void TcpNetwork::ReadLoop(InboundConn* conn) {
       break;
     }
     conn->senders.insert(decoded.value().from);
+    // Push before counting, so a caller that sees the count also finds
+    // the envelope in the inbox.
+    PushInbox(std::move(decoded).value());
     {
       std::lock_guard<std::mutex> slk(stats_mutex_);
       ++tcp_stats_.frames_received;
       ++stats_.messages_delivered;
     }
-    PushInbox(std::move(decoded).value());
   }
   ::shutdown(conn->fd, SHUT_RDWR);
   // The peers behind a dead inbound connection may have crashed (their

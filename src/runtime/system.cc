@@ -132,10 +132,6 @@ RoundReport System::RunRound() {
   for (Peer* peer : pending) {
     for (Envelope& e : peer->RunStage()) {
       switch (e.message.type) {
-        case MessageType::kDerivedSet:
-          ++report.full_set_messages;
-          report.derived_tuples_sent += e.message.derived.tuples.size();
-          break;
         case MessageType::kDerivedDelta:
           ++report.delta_messages;
           report.delta_tuples_sent += e.message.delta.inserts.size() +

@@ -31,7 +31,7 @@ struct SystemOptions {
   /// costs ~O(100) bytes and one process hosts 100k–1M simulated peers
   /// (DESIGN.md §9). False allocates every peer's engine eagerly at
   /// CreatePeer — the pre-lazy runtime, kept as the fingerprint oracle
-  /// (the use_compiled_plans / use_incremental_maintenance pattern).
+  /// (the use_compiled_plans pattern).
   bool lazy_peer_state = true;
   /// Durability root (DESIGN.md §11). Non-empty makes every peer this
   /// System creates durable, with its data dir at
@@ -50,16 +50,14 @@ struct RoundReport {
   size_t envelopes_delivered = 0;
   size_t stages_run = 0;
   size_t envelopes_sent = 0;
-  // Propagation-plane telemetry: what this round's stages *submitted*,
-  // by protocol. Message/tuple counts are pre-loss (a dropped or
+  // Propagation-plane telemetry: what this round's stages *submitted*.
+  // Message/tuple counts are pre-loss (a dropped or
   // partitioned envelope is still counted — the stage did the work);
   // bytes_sent is what actually reached the wire, so the two bases
   // differ under lossy links.
-  size_t full_set_messages = 0;    // kDerivedSet envelopes
   size_t delta_messages = 0;       // kDerivedDelta envelopes
   size_t resync_requests = 0;      // kResyncRequest envelopes
   size_t heartbeats_sent = 0;      // version-only stream heartbeats
-  uint64_t derived_tuples_sent = 0;  // tuples in full sets
   uint64_t delta_tuples_sent = 0;    // inserts+deletes in deltas
   uint64_t bytes_sent = 0;           // wire bytes submitted this round
 };

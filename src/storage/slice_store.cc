@@ -31,11 +31,12 @@ void SliceStore::CommitVersion(const std::string& relation,
   streams_[relation][sender].version = version;
 }
 
-bool SliceStore::ReplaceSlice(const std::string& relation,
-                              const std::string& sender, TupleSet slice,
-                              std::vector<Tuple>* gained,
-                              std::vector<Tuple>* lost) {
+bool SliceStore::ApplySnapshot(const std::string& relation,
+                               const std::string& sender, TupleSet slice,
+                               uint64_t version, std::vector<Tuple>* gained,
+                               std::vector<Tuple>* lost) {
   Stream& stream = streams_[relation][sender];
+  stream.version = version;
   if (stream.slice == slice) return false;
   for (const Tuple& t : stream.slice) {
     if (!slice.count(t) && DropSupport(relation, t) && lost != nullptr) {
@@ -50,15 +51,6 @@ bool SliceStore::ReplaceSlice(const std::string& relation,
   }
   stream.slice = std::move(slice);
   return true;
-}
-
-bool SliceStore::ApplySnapshot(const std::string& relation,
-                               const std::string& sender, TupleSet slice,
-                               uint64_t version, std::vector<Tuple>* gained,
-                               std::vector<Tuple>* lost) {
-  bool changed = ReplaceSlice(relation, sender, std::move(slice), gained, lost);
-  streams_[relation][sender].version = version;
-  return changed;
 }
 
 bool SliceStore::ApplyDelta(const std::string& relation,

@@ -68,21 +68,16 @@ class SliceStore {
   void CommitVersion(const std::string& relation, const std::string& sender,
                      uint64_t version);
 
-  /// Replaces `sender`'s slice wholesale (the full-slice protocol; no
-  /// version attached). Returns true when the slice actually changed —
-  /// decided by direct set comparison, never by hash.
+  /// Replaces `sender`'s slice wholesale and commits `version` (a
+  /// snapshot, the answer to a resync request). Returns true when the
+  /// slice actually changed — decided by direct set comparison, never
+  /// by hash.
   ///
   /// When non-null, `gained`/`lost` receive the tuples whose aggregate
   /// support crossed zero (0 -> 1 senders, last sender withdrew): the
   /// per-tuple view-membership transitions that drive incremental view
   /// maintenance (DESIGN.md §6). Tuples whose support merely moved
   /// between positive counts are not reported.
-  bool ReplaceSlice(const std::string& relation, const std::string& sender,
-                    TupleSet slice, std::vector<Tuple>* gained = nullptr,
-                    std::vector<Tuple>* lost = nullptr);
-
-  /// Replaces the slice and commits `version` (a differential-protocol
-  /// snapshot / resync response). Transition reporting as ReplaceSlice.
   bool ApplySnapshot(const std::string& relation, const std::string& sender,
                      TupleSet slice, uint64_t version,
                      std::vector<Tuple>* gained = nullptr,
@@ -91,7 +86,7 @@ class SliceStore {
   /// Applies one differential update to `sender`'s slice and commits
   /// `version`; the inserts are consumed (moved into the slice).
   /// Returns true when any tuple was actually added or removed.
-  /// Transition reporting as ReplaceSlice.
+  /// Transition reporting as ApplySnapshot.
   bool ApplyDelta(const std::string& relation, const std::string& sender,
                   std::vector<Tuple> inserts,
                   const std::vector<Tuple>& deletes, uint64_t version,

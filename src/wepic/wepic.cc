@@ -7,9 +7,16 @@
 
 namespace wdl {
 
+namespace {
+SystemOptions SeededSystem(uint64_t network_seed) {
+  SystemOptions options;
+  options.network_seed = network_seed;
+  return options;
+}
+}  // namespace
+
 WepicApp::WepicApp(WepicOptions options)
-    : options_(options),
-      system_(SystemOptions{options.network_seed, LinkConfig{}}) {}
+    : options_(options), system_(SeededSystem(options.network_seed)) {}
 
 std::string WepicApp::AttendeeProgramText(const std::string& name) {
   const char* n = name.c_str();

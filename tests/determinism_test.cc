@@ -19,6 +19,12 @@ TEST(DeterminismRngGuard, GeneratorMatchesGoldenSequence) {
   EXPECT_TRUE(test::CheckRngGoldenSequence());
 }
 
+WepicOptions Seeded(uint64_t network_seed) {
+  WepicOptions options;
+  options.network_seed = network_seed;
+  return options;
+}
+
 std::string GlobalStateFingerprint(WepicApp& app) {
   return test::GlobalStateFingerprint(app.system());
 }
@@ -40,8 +46,8 @@ void RunWorkload(WepicApp& app) {
 }
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalGlobalState) {
-  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(0)});
-  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(0)});
+  WepicApp a(Seeded(test::FixedTestSeed(0)));
+  WepicApp b(Seeded(test::FixedTestSeed(0)));
   RunWorkload(a);
   RunWorkload(b);
   EXPECT_EQ(GlobalStateFingerprint(a), GlobalStateFingerprint(b));
@@ -55,8 +61,8 @@ TEST(DeterminismTest, ConvergedStateIsSeedIndependent) {
   // Different seeds may schedule deliveries differently, but the
   // converged relations and programs must agree (confluence of the
   // monotone core under reordering).
-  WepicApp a(WepicOptions{.network_seed = test::FixedTestSeed(1)});
-  WepicApp b(WepicOptions{.network_seed = test::FixedTestSeed(2)});
+  WepicApp a(Seeded(test::FixedTestSeed(1)));
+  WepicApp b(Seeded(test::FixedTestSeed(2)));
   RunWorkload(a);
   RunWorkload(b);
   EXPECT_EQ(GlobalStateFingerprint(a), GlobalStateFingerprint(b));

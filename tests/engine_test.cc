@@ -247,41 +247,50 @@ TEST(EngineTest, DelegationForWrongTargetRejected) {
   EXPECT_FALSE(e.InstallDelegatedRule(d).ok());
 }
 
-TEST(EngineTest, DerivedSetToExtensionalIsPersistentUnion) {
+/// A versioned snapshot of sender's whole contribution to `relation`@p.
+DerivedDelta Snapshot(const std::string& relation, uint64_t version,
+                      std::vector<Tuple> tuples) {
+  DerivedDelta d;
+  d.target_peer = "p";
+  d.relation = relation;
+  d.version = version;
+  d.snapshot = true;
+  d.inserts = std::move(tuples);
+  return d;
+}
+
+TEST(EngineTest, SnapshotToExtensionalIsPersistentUnion) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection ext inbox@p(x: int);")).ok());
-  DerivedSet set;
-  set.target_peer = "p";
-  set.relation = "inbox";
-  set.tuples = {Tuple{I(1)}, Tuple{I(2)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Snapshot("inbox", 1, {{I(1)}, {I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("inbox")->size(), 2u);
 
-  // A shrunk set later does NOT delete: updates are persistent.
-  set.tuples = {Tuple{I(1)}};
-  e.EnqueueDerivedSet("q", set);
+  // A shrunk snapshot later does NOT delete: updates are persistent.
+  e.EnqueueDerivedDelta("q", Snapshot("inbox", 2, {{I(1)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("inbox")->size(), 2u);
+  EXPECT_EQ(e.slice_store().StreamVersion("inbox", "q"), 2u);
 }
 
-TEST(EngineTest, DerivedSetToIntensionalReplacesSenderSlice) {
+TEST(EngineTest, SnapshotToIntensionalReplacesSenderSlice) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection int view@p(x: int);")).ok());
-  DerivedSet set;
-  set.target_peer = "p";
-  set.relation = "view";
-  set.tuples = {Tuple{I(1)}, Tuple{I(2)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Snapshot("view", 1, {{I(1)}, {I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("view")->size(), 2u);
 
-  set.tuples = {Tuple{I(3)}};
-  e.EnqueueDerivedSet("q", set);
+  e.EnqueueDerivedDelta("q", Snapshot("view", 2, {{I(3)}}));
   e.RunStage();
   const Relation* view = e.catalog().Get("view");
+  EXPECT_EQ(view->size(), 1u);
+  EXPECT_TRUE(view->Contains({I(3)}));
+
+  // A reordered older snapshot is stale and changes nothing.
+  e.EnqueueDerivedDelta("q", Snapshot("view", 1, {{I(1)}, {I(2)}}));
+  e.RunStage();
   EXPECT_EQ(view->size(), 1u);
   EXPECT_TRUE(view->Contains({I(3)}));
 }
@@ -290,18 +299,19 @@ TEST(EngineTest, SlicesFromDistinctSendersAreIndependent) {
   Engine e("p");
   ASSERT_TRUE(
       e.LoadProgram(P("collection int view@p(x: int);")).ok());
-  DerivedSet from_q{.target_peer = "p", .relation = "view",
-                    .tuples = {Tuple{I(1)}}};
-  DerivedSet from_r{.target_peer = "p", .relation = "view",
-                    .tuples = {Tuple{I(2)}}};
-  e.EnqueueDerivedSet("q", from_q);
-  e.EnqueueDerivedSet("r", from_r);
+  e.EnqueueDerivedDelta("q", Snapshot("view", 1, {{I(1)}}));
+  e.EnqueueDerivedDelta("r", Snapshot("view", 1, {{I(2)}}));
   e.RunStage();
   EXPECT_EQ(e.catalog().Get("view")->size(), 2u);
 
-  // q empties its slice; r's contribution survives.
-  from_q.tuples.clear();
-  e.EnqueueDerivedSet("q", from_q);
+  // q empties its slice with a delete delta; r's contribution survives.
+  DerivedDelta drain;
+  drain.target_peer = "p";
+  drain.relation = "view";
+  drain.base_version = 1;
+  drain.version = 2;
+  drain.deletes = {{I(1)}};
+  e.EnqueueDerivedDelta("q", drain);
   e.RunStage();
   const Relation* view = e.catalog().Get("view");
   EXPECT_EQ(view->size(), 1u);
@@ -321,34 +331,6 @@ TEST(EngineTest, UnchangedContributionIsNotResent) {
   e.InsertFact(Fact("data", "p", {I(1)})).value();  // duplicate, no-op
   StageResult second = e.RunStage();
   EXPECT_EQ(second.outbound.count("q"), 0u);
-}
-
-TEST(EngineTest, EmptiedContributionIsSentOnceAsEmptySet) {
-  // Full-slice oracle mode: an emptied contribution ships as one empty
-  // DerivedSet (the differential twin of this test ships the deletes).
-  EngineOptions opts;
-  opts.use_differential_propagation = false;
-  Engine e("p", opts);
-  ASSERT_TRUE(e.LoadProgram(P(R"(
-    collection ext data@p(x: int);
-    collection int view@p(x: int);
-    fact data@p(1);
-    rule view@p($x) :- data@p($x);
-    rule mirror@q($x) :- view@p($x);
-  )")).ok());
-  StageResult first = e.RunStage();
-  ASSERT_EQ(first.outbound.count("q"), 1u);
-  ASSERT_EQ(first.outbound["q"].derived_sets.size(), 1u);
-
-  ASSERT_TRUE(e.RemoveFact(Fact("data", "p", {I(1)})).ok());
-  StageResult second = e.RunStage();
-  ASSERT_EQ(second.outbound.count("q"), 1u);
-  ASSERT_EQ(second.outbound["q"].derived_sets.size(), 1u);
-  EXPECT_TRUE(second.outbound["q"].derived_sets[0].tuples.empty());
-
-  // And only once: a third stage is silent.
-  StageResult third = e.RunStage();
-  EXPECT_EQ(third.outbound.count("q"), 0u);
 }
 
 TEST(EngineTest, DifferentialShipsOnlyTheChange) {
@@ -401,6 +383,39 @@ TEST(EngineTest, DifferentialShipsOnlyTheChange) {
   EXPECT_EQ(fourth.outbound.count("q"), 0u);
 }
 
+TEST(EngineTest, EmptiedContributionIsSentOnceAsEmptySet) {
+  // An emptied contribution is one delete delta; a receiver that then asks
+  // for a resync gets the empty set as one snapshot, and the stage after
+  // that is silent.
+  Engine e("p");
+  ASSERT_TRUE(e.LoadProgram(P(R"(
+    collection ext data@p(x: int);
+    collection int view@p(x: int);
+    fact data@p(1);
+    rule view@p($x) :- data@p($x);
+    rule mirror@q($x) :- view@p($x);
+  )")).ok());
+  StageResult first = e.RunStage();
+  ASSERT_EQ(first.outbound["q"].derived_deltas.size(), 1u);
+
+  ASSERT_TRUE(e.RemoveFact(Fact("data", "p", {I(1)})).ok());
+  StageResult second = e.RunStage();
+  ASSERT_EQ(second.outbound["q"].derived_deltas.size(), 1u);
+  EXPECT_EQ(second.outbound["q"].derived_deltas[0].deletes.size(), 1u);
+
+  e.EnqueueResyncRequest("q", "mirror");
+  StageResult served = e.RunStage();
+  ASSERT_EQ(served.outbound["q"].derived_deltas.size(), 1u);
+  const DerivedDelta& dd = served.outbound["q"].derived_deltas[0];
+  EXPECT_TRUE(dd.snapshot);
+  EXPECT_TRUE(dd.inserts.empty());
+  EXPECT_TRUE(dd.deletes.empty());
+
+  // And only once: the next stage is silent.
+  StageResult quiet = e.RunStage();
+  EXPECT_EQ(quiet.outbound.count("q"), 0u);
+}
+
 TEST(EngineTest, DifferentialEmptiedContributionShipsDeletes) {
   Engine e("p");
   ASSERT_TRUE(e.LoadProgram(P(R"(
@@ -410,7 +425,8 @@ TEST(EngineTest, DifferentialEmptiedContributionShipsDeletes) {
     rule view@p($x) :- data@p($x);
     rule mirror@q($x) :- view@p($x);
   )")).ok());
-  (void)e.RunStage();
+  StageResult first = e.RunStage();
+  ASSERT_EQ(first.outbound["q"].derived_deltas.size(), 1u);
   ASSERT_TRUE(e.RemoveFact(Fact("data", "p", {I(1)})).ok());
   StageResult second = e.RunStage();
   ASSERT_EQ(second.outbound["q"].derived_deltas.size(), 1u);

@@ -1,15 +1,15 @@
-// Incremental-vs-recompute oracle suite (ISSUE PR4, DESIGN.md §6).
+// Incremental view maintenance suite, checked against the reference
+// evaluator (DESIGN.md §6, §12).
 //
-// With use_incremental_maintenance=true intensional relations persist
-// across stages: Δ-sets (local EDB changes + slice-store support
-// transitions) drive semi-naive evaluation forward, and deletions
-// retract by support-counted DRed-style over-delete/re-derive. The
-// recompute path (clear views + full fixpoint every stage) stays behind
-// the flag as the oracle: every scenario here runs once per mode and
-// the converged GlobalStateFingerprints must match byte for byte —
-// including deletions, delegation installs/retracts, negation (which
-// falls back to recompute transparently), and randomized multi-peer
-// workloads.
+// Intensional relations persist across stages: Δ-sets (local EDB
+// changes + slice-store support transitions) drive semi-naive
+// evaluation forward, and deletions retract by support-counted
+// DRed-style over-delete/re-derive. Every multi-peer scenario here
+// asserts, at each quiescent point, that every view equals what the
+// reference evaluator (tests/support/reference.h) computes from the
+// same extensional state and rules — including deletions, delegation
+// installs/retracts, deletion rules, negation (which falls back to a
+// full recompute transparently), and randomized multi-peer workloads.
 
 #include <functional>
 #include <string>
@@ -20,48 +20,31 @@
 #include "base/rng.h"
 #include "runtime/system.h"
 #include "support/builders.h"
-#include "support/fixture.h"
+#include "support/reference.h"
 
 namespace wdl {
 namespace {
 
 using test::F;
-using test::GlobalStateFingerprint;
 using test::I;
+using test::MatchesReference;
+using test::QuiesceAndMatchReference;
 using test::Settle;
 
-PeerOptions Mode(bool incremental) {
+PeerOptions Mode() {
   PeerOptions o;
-  o.engine.use_incremental_maintenance = incremental;
   o.trust_all_delegations = true;
   return o;
 }
 
-void ExpectModesAgree(
-    const std::function<void(System&, PeerOptions)>& scenario,
-    SystemOptions sys_opts = {}) {
-  std::string recompute;
-  std::string incremental;
-  {
-    System system(sys_opts);
-    scenario(system, Mode(false));
-    recompute = GlobalStateFingerprint(system);
-  }
-  {
-    System system(sys_opts);
-    scenario(system, Mode(true));
-    incremental = GlobalStateFingerprint(system);
-  }
-  EXPECT_EQ(recompute, incremental);
+/// Runs `scenario` on a fresh system. Scenarios assert the reference
+/// at every quiescent point themselves.
+void RunScenario(const std::function<void(System&, PeerOptions)>& scenario) {
+  System system;
+  scenario(system, Mode());
 }
 
 // --- single-engine unit coverage -------------------------------------
-
-EngineOptions IncrementalOptions() {
-  EngineOptions o;
-  o.use_incremental_maintenance = true;
-  return o;
-}
 
 void LoadChain(Engine* engine, int nodes) {
   Program p = test::P(R"(
@@ -78,7 +61,7 @@ void LoadChain(Engine* engine, int nodes) {
 }
 
 TEST(IncrementalEngineTest, InsertExtendsRecursiveViewSubLinearly) {
-  Engine engine("a", IncrementalOptions());
+  Engine engine("a");
   LoadChain(&engine, 50);  // tc = 50*49/2 = 1225 tuples
   const Relation* tc = engine.catalog().Get("tc");
   ASSERT_NE(tc, nullptr);
@@ -89,6 +72,7 @@ TEST(IncrementalEngineTest, InsertExtendsRecursiveViewSubLinearly) {
   uint64_t incr_before = engine.eval_counters().stages_incremental;
   ASSERT_TRUE(engine.InsertFact(F("edge", "a", {I(49), I(50)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_EQ(tc->size(), 1275u);  // +50 pairs ending at 50
   EXPECT_GT(engine.eval_counters().stages_incremental, incr_before);
   // Δ-driven: the stage touches the new chains, not the whole view.
@@ -97,7 +81,7 @@ TEST(IncrementalEngineTest, InsertExtendsRecursiveViewSubLinearly) {
 }
 
 TEST(IncrementalEngineTest, DeleteRetractsCascadeAndReAddRestores) {
-  Engine engine("a", IncrementalOptions());
+  Engine engine("a");
   LoadChain(&engine, 20);
   const Relation* tc = engine.catalog().Get("tc");
   ASSERT_EQ(tc->size(), 190u);
@@ -106,6 +90,7 @@ TEST(IncrementalEngineTest, DeleteRetractsCascadeAndReAddRestores) {
   // times 10 targets (10..19) = 100 pairs.
   ASSERT_TRUE(engine.RemoveFact(F("edge", "a", {I(9), I(10)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_EQ(tc->size(), 90u);
   EXPECT_FALSE(tc->Contains({I(0), I(19)}));
   EXPECT_TRUE(tc->Contains({I(0), I(9)}));
@@ -114,12 +99,13 @@ TEST(IncrementalEngineTest, DeleteRetractsCascadeAndReAddRestores) {
 
   ASSERT_TRUE(engine.InsertFact(F("edge", "a", {I(9), I(10)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_EQ(tc->size(), 190u);
   EXPECT_TRUE(tc->Contains({I(0), I(19)}));
 }
 
 TEST(IncrementalEngineTest, AlternativeDerivationSurvivesByRederivation) {
-  Engine engine("a", IncrementalOptions());
+  Engine engine("a");
   Program p = test::P(R"(
     collection ext e1@a(x: int);
     collection ext e2@a(x: int);
@@ -133,6 +119,7 @@ TEST(IncrementalEngineTest, AlternativeDerivationSurvivesByRederivation) {
   ASSERT_TRUE(engine.InsertFact(F("e1", "a", {I(7)})).ok());
   ASSERT_TRUE(engine.InsertFact(F("e2", "a", {I(7)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   const Relation* both = engine.catalog().Get("both");
   ASSERT_TRUE(both->Contains({I(7)}));
 
@@ -140,34 +127,38 @@ TEST(IncrementalEngineTest, AlternativeDerivationSurvivesByRederivation) {
   // the second rule and nothing downstream churns away.
   ASSERT_TRUE(engine.RemoveFact(F("e1", "a", {I(7)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_TRUE(both->Contains({I(7)}));
   EXPECT_TRUE(engine.catalog().Get("chained")->Contains({I(7)}));
   EXPECT_GE(engine.eval_counters().tuples_rederived, 1u);
 
   ASSERT_TRUE(engine.RemoveFact(F("e2", "a", {I(7)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_FALSE(both->Contains({I(7)}));
   EXPECT_FALSE(engine.catalog().Get("chained")->Contains({I(7)}));
 }
 
 TEST(IncrementalEngineTest, RuleChangesFallBackToFullRecompute) {
-  Engine engine("a", IncrementalOptions());
+  Engine engine("a");
   LoadChain(&engine, 5);
   uint64_t full_before = engine.eval_counters().stages_full;
   Result<uint64_t> id = engine.AddRule(test::R(
       "rule tc@a($x, $x) :- edge@a($x, $y);"));
   ASSERT_TRUE(id.ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_GT(engine.eval_counters().stages_full, full_before);
   EXPECT_TRUE(engine.catalog().Get("tc")->Contains({I(0), I(0)}));
 
   ASSERT_TRUE(engine.RemoveRule(*id).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_FALSE(engine.catalog().Get("tc")->Contains({I(0), I(0)}));
 }
 
 TEST(IncrementalEngineTest, NegationTouchingChangeFallsBack) {
-  Engine engine("a", IncrementalOptions());
+  Engine engine("a");
   Program p = test::P(R"(
     collection ext item@a(x: int);
     collection ext banned@a(x: int);
@@ -178,6 +169,7 @@ TEST(IncrementalEngineTest, NegationTouchingChangeFallsBack) {
   ASSERT_TRUE(engine.InsertFact(F("item", "a", {I(1)})).ok());
   ASSERT_TRUE(engine.InsertFact(F("item", "a", {I(2)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   const Relation* visible = engine.catalog().Get("visible");
   EXPECT_EQ(visible->size(), 2u);
 
@@ -186,12 +178,14 @@ TEST(IncrementalEngineTest, NegationTouchingChangeFallsBack) {
   uint64_t full_before = engine.eval_counters().stages_full;
   ASSERT_TRUE(engine.InsertFact(F("banned", "a", {I(1)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_GT(engine.eval_counters().stages_full, full_before);
   EXPECT_FALSE(visible->Contains({I(1)}));
   EXPECT_TRUE(visible->Contains({I(2)}));
 
   ASSERT_TRUE(engine.RemoveFact(F("banned", "a", {I(1)})).ok());
   Settle(&engine);
+  EXPECT_TRUE(MatchesReference(engine));
   EXPECT_TRUE(visible->Contains({I(1)}));
 }
 
@@ -200,9 +194,9 @@ TEST(IncrementalEngineTest, SupportCountsKeepMultiSourceTuplesAlive) {
   // peer also derives one overlapping tuple locally. Tuples must leave
   // exactly when their last support (remote or derived) disappears.
   System system;
-  Peer* hub = system.CreatePeer("hub", Mode(true));
-  Peer* a = system.CreatePeer("a", Mode(true));
-  Peer* b = system.CreatePeer("b", Mode(true));
+  Peer* hub = system.CreatePeer("hub", Mode());
+  Peer* a = system.CreatePeer("a", Mode());
+  Peer* b = system.CreatePeer("b", Mode());
   ASSERT_TRUE(hub->LoadProgramText(R"(
     collection ext own@hub(x: int);
     collection int board@hub(x: int);
@@ -219,19 +213,19 @@ TEST(IncrementalEngineTest, SupportCountsKeepMultiSourceTuplesAlive) {
   ASSERT_TRUE(a->Insert(F("data", "a", {I(1)})).ok());
   ASSERT_TRUE(b->Insert(F("data", "b", {I(1)})).ok());
   ASSERT_TRUE(hub->Insert(F("own", "hub", {I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   const Relation* board = hub->engine().catalog().Get("board");
   ASSERT_TRUE(board->Contains({I(1)}));
 
   // Withdraw supports one at a time: the tuple survives until the last.
   ASSERT_TRUE(a->Remove(F("data", "a", {I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   EXPECT_TRUE(board->Contains({I(1)}));
   ASSERT_TRUE(hub->Remove(F("own", "hub", {I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   EXPECT_TRUE(board->Contains({I(1)}));  // b still contributes
   ASSERT_TRUE(b->Remove(F("data", "b", {I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   EXPECT_FALSE(board->Contains({I(1)}));
 }
 
@@ -249,16 +243,16 @@ void RecursiveViewScenario(System& system, PeerOptions mode) {
     ASSERT_TRUE(a->Insert(F("edge", "a", {I(i), I(i + 1)})).ok());
   }
   ASSERT_TRUE(a->Insert(F("edge", "a", {I(4), I(9)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   ASSERT_TRUE(a->Remove(F("edge", "a", {I(6), I(7)})).ok());
   ASSERT_TRUE(a->Remove(F("edge", "a", {I(0), I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   ASSERT_TRUE(a->Insert(F("edge", "a", {I(6), I(7)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
 }
 
 TEST(IncrementalOracleTest, RecursiveViewWithChurn) {
-  ExpectModesAgree(RecursiveViewScenario);
+  RunScenario(RecursiveViewScenario);
 }
 
 void MultiPeerDeletionScenario(System& system, PeerOptions mode) {
@@ -286,19 +280,19 @@ void MultiPeerDeletionScenario(System& system, PeerOptions mode) {
   for (int i = 5; i < 12; ++i) {
     ASSERT_TRUE(b->Insert(F("data", "b", {I(i)})).ok());
   }
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   // Overlapping deletion (6 survives via b), full deletion (0), and a
   // downstream-view cascade through big@hub.
   ASSERT_TRUE(a->Remove(F("data", "a", {I(6)})).ok());
   ASSERT_TRUE(a->Remove(F("data", "a", {I(0)})).ok());
   ASSERT_TRUE(b->Remove(F("data", "b", {I(11)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   ASSERT_TRUE(hub->Remove(F("threshold", "hub", {I(3)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
 }
 
 TEST(IncrementalOracleTest, MultiPeerOverlapAndDownstreamCascade) {
-  ExpectModesAgree(MultiPeerDeletionScenario);
+  RunScenario(MultiPeerDeletionScenario);
 }
 
 void DelegationChurnScenario(System& system, PeerOptions mode) {
@@ -319,24 +313,30 @@ void DelegationChurnScenario(System& system, PeerOptions mode) {
   // The remote body atom delegates one residual per friends binding.
   ASSERT_TRUE(a->AddRuleText(
       "rule spotted@a($w) :- friends@a($w), seen@b($w);").ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   // Deleting a friend must retract its residual at b and drain the
   // contribution; adding one must install a new residual.
   ASSERT_TRUE(a->Remove(F("friends", "a", {test::S("carol")})).ok());
   ASSERT_TRUE(a->Insert(F("friends", "a", {test::S("erin")})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
 }
 
 TEST(IncrementalOracleTest, DelegationInstallAndRetractOnDeletion) {
-  ExpectModesAgree(DelegationChurnScenario);
+  RunScenario(DelegationChurnScenario);
 
   // Shape probe on the incremental run: carol's residual really left b.
   System system;
-  DelegationChurnScenario(system, Mode(true));
+  DelegationChurnScenario(system, Mode());
   for (const InstalledRule* ir : system.GetPeer("b")->engine().rules()) {
     EXPECT_EQ(ir->rule.ToString().find("carol"), std::string::npos)
         << ir->rule.ToString();
   }
+}
+
+std::vector<Tuple> Ints(std::initializer_list<int64_t> values) {
+  std::vector<Tuple> out;
+  for (int64_t v : values) out.push_back({I(v)});
+  return out;
 }
 
 void DeletionRuleScenario(System& system, PeerOptions mode) {
@@ -348,20 +348,69 @@ void DeletionRuleScenario(System& system, PeerOptions mode) {
     rule p@b($x) :- src@a($x);
     rule -p@b($x) :- src@a($x), kill@a($x);
   )").ok());
-  ASSERT_TRUE(b->LoadProgramText(
-      "collection ext p@b(x: int);").ok());
+  // p@b is extensional state the rules at a write; the reference reads
+  // it as given, so its contents are asserted explicitly, and the view
+  // over it is checked at every quiescent point.
+  ASSERT_TRUE(b->LoadProgramText(R"(
+    collection ext p@b(x: int);
+    collection int seen@b(x: int);
+    rule seen@b($x) :- p@b($x);
+  )").ok());
+  const Relation* p = b->engine().catalog().Get("p");
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(a->Insert(F("src", "a", {I(i)})).ok());
   }
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
+  EXPECT_EQ(p->SortedTuples(), Ints({0, 1, 2, 3}));
   ASSERT_TRUE(a->Insert(F("kill", "a", {I(2)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
+  EXPECT_EQ(p->SortedTuples(), Ints({0, 1, 3}));
   ASSERT_TRUE(a->Remove(F("kill", "a", {I(2)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
+  EXPECT_EQ(p->SortedTuples(), Ints({0, 1, 3}));
 }
 
 TEST(IncrementalOracleTest, DeletionRulesAgree) {
-  ExpectModesAgree(DeletionRuleScenario);
+  RunScenario(DeletionRuleScenario);
+}
+
+// A view whose rule swaps columns sustains each pair from its mirror
+// image. When the remote contribution that seeded the pair goes away,
+// both tuples must go too: their rule support is circular, so losing
+// the external support must over-delete them and let re-derivation
+// (which finds nothing) decide.
+void CyclicSupportScenario(System& system, PeerOptions mode) {
+  Peer* a = system.CreatePeer("a", mode);
+  Peer* hub = system.CreatePeer("hub", mode);
+  ASSERT_TRUE(hub->LoadProgramText(R"(
+    collection ext own@hub(x: int, y: int);
+    collection int v@hub(x: int, y: int);
+    rule v@hub($y, $x) :- v@hub($x, $y);
+    rule v@hub($x, $y) :- own@hub($x, $y);
+  )").ok());
+  ASSERT_TRUE(a->LoadProgramText(R"(
+    collection ext d@a(x: int, y: int);
+    rule v@hub($x, $y) :- d@a($x, $y);
+  )").ok());
+  ASSERT_TRUE(a->Insert(F("d", "a", {I(1), I(2)})).ok());
+  ASSERT_TRUE(a->Insert(F("d", "a", {I(3), I(4)})).ok());
+  ASSERT_TRUE(hub->Insert(F("own", "hub", {I(4), I(3)})).ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
+  const Relation* v = hub->engine().catalog().Get("v");
+  EXPECT_EQ(v->size(), 4u);
+
+  // (1,2) loses its only real support; (3,4) keeps a local one.
+  ASSERT_TRUE(a->Remove(F("d", "a", {I(1), I(2)})).ok());
+  ASSERT_TRUE(a->Remove(F("d", "a", {I(3), I(4)})).ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
+  EXPECT_FALSE(v->Contains({I(1), I(2)}));
+  EXPECT_FALSE(v->Contains({I(2), I(1)}));
+  EXPECT_TRUE(v->Contains({I(3), I(4)}));
+  EXPECT_TRUE(v->Contains({I(4), I(3)}));
+}
+
+TEST(IncrementalOracleTest, CyclicSupportDrainsWhenRemoteSupportWithdraws) {
+  RunScenario(CyclicSupportScenario);
 }
 
 void NegationScenario(System& system, PeerOptions mode) {
@@ -381,21 +430,21 @@ void NegationScenario(System& system, PeerOptions mode) {
     ASSERT_TRUE(a->Insert(F("posts", "a", {I(i)})).ok());
   }
   ASSERT_TRUE(hub->Insert(F("blocked", "hub", {I(2)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   ASSERT_TRUE(hub->Insert(F("blocked", "hub", {I(4)})).ok());
   ASSERT_TRUE(a->Remove(F("posts", "a", {I(1)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
   ASSERT_TRUE(hub->Remove(F("blocked", "hub", {I(2)})).ok());
-  ASSERT_TRUE(system.RunUntilQuiescent().ok());
+  ASSERT_TRUE(QuiesceAndMatchReference(system));
 }
 
 TEST(IncrementalOracleTest, StratifiedNegationAgrees) {
-  ExpectModesAgree(NegationScenario);
+  RunScenario(NegationScenario);
 }
 
-// Randomized multi-peer churn: the same seeded op sequence (inserts,
-// deletes, delegation-producing rule add/remove) replayed against both
-// modes, converging and fingerprint-comparing after every batch.
+// Randomized multi-peer churn: a seeded op sequence (inserts, deletes,
+// delegation-producing rule add/remove), converging and checking the
+// reference after every batch.
 TEST(IncrementalOracleTest, RandomizedWorkloadsConvergeIdentically) {
   for (uint64_t seed : {7ull, 21ull, 1234ull}) {
     auto scenario = [seed](System& system, PeerOptions mode) {
@@ -413,8 +462,11 @@ TEST(IncrementalOracleTest, RandomizedWorkloadsConvergeIdentically) {
         collection ext data@a(x: int);
         rule board@hub($x) :- data@a($x);
       )").ok());
+      // spotted@b is declared intensional so the reference checks it:
+      // a stale residual at a shows up as an unexpected tuple.
       ASSERT_TRUE(b->LoadProgramText(R"(
         collection ext data@b(x: int);
+        collection int spotted@b(x: int);
         rule board@hub($x) :- data@b($x);
       )").ok());
       Rng rng(seed);
@@ -454,31 +506,29 @@ TEST(IncrementalOracleTest, RandomizedWorkloadsConvergeIdentically) {
         if (batch == 4 && spot_rule != 0) {
           ASSERT_TRUE(b->engine().RemoveRule(spot_rule).ok());
         }
-        ASSERT_TRUE(system.RunUntilQuiescent(5000).ok());
+        ASSERT_TRUE(QuiesceAndMatchReference(system, 5000));
+        // One residual at a per data@b value while the rule is active,
+        // none once it is removed.
+        size_t residuals = 0;
+        for (const InstalledRule* ir : a->engine().rules()) {
+          if (ir->delegation_key != 0) ++residuals;
+        }
+        const bool active = batch >= 2 && batch < 4;
+        const Relation* data_b = b->engine().catalog().Get("data");
+        ASSERT_NE(data_b, nullptr);
+        EXPECT_EQ(residuals, active ? data_b->size() : 0u)
+            << "seed " << seed << " batch " << batch;
       }
     };
-    std::string recompute;
-    std::string incremental;
-    {
-      System system;
-      scenario(system, Mode(false));
-      recompute = GlobalStateFingerprint(system);
+    System system;
+    scenario(system, Mode());
+    // The run must actually have exercised the Δ path.
+    uint64_t incr_stages = 0;
+    for (const std::string& name : system.PeerNames()) {
+      incr_stages +=
+          system.GetPeer(name)->engine().eval_counters().stages_incremental;
     }
-    {
-      System system;
-      scenario(system, Mode(true));
-      incremental = GlobalStateFingerprint(system);
-      // The incremental run must actually have exercised the Δ path.
-      uint64_t incr_stages = 0;
-      for (const std::string& name : system.PeerNames()) {
-        incr_stages += system.GetPeer(name)
-                           ->engine()
-                           .eval_counters()
-                           .stages_incremental;
-      }
-      EXPECT_GT(incr_stages, 0u) << "seed " << seed;
-    }
-    EXPECT_EQ(recompute, incremental) << "seed " << seed;
+    EXPECT_GT(incr_stages, 0u) << "seed " << seed;
   }
 }
 

@@ -34,32 +34,33 @@ std::vector<Tuple> Union(const SliceStore& store,
   return out;
 }
 
+// A snapshot replaces the sender's slice wholesale.
 TEST(SliceStoreTest, ReplaceSliceDetectsRealChangesOnly) {
   SliceStore store;
-  EXPECT_TRUE(store.ReplaceSlice("v", "q", Set({1, 2})));
-  EXPECT_FALSE(store.ReplaceSlice("v", "q", Set({1, 2})));  // no-op
-  EXPECT_TRUE(store.ReplaceSlice("v", "q", Set({2, 3})));
+  EXPECT_TRUE(store.ApplySnapshot("v", "q", Set({1, 2}), 1));
+  EXPECT_FALSE(store.ApplySnapshot("v", "q", Set({1, 2}), 2));  // no-op
+  EXPECT_TRUE(store.ApplySnapshot("v", "q", Set({2, 3}), 3));
   EXPECT_EQ(Union(store, "v"), Vec({2, 3}));
-  EXPECT_TRUE(store.ReplaceSlice("v", "q", Set({})));
+  EXPECT_TRUE(store.ApplySnapshot("v", "q", Set({}), 4));
   EXPECT_TRUE(Union(store, "v").empty());
 }
 
 TEST(SliceStoreTest, MultiSenderSupportCountsResolveOverlap) {
   SliceStore store;
-  store.ReplaceSlice("v", "q", Set({1, 2}));
-  store.ReplaceSlice("v", "r", Set({2, 3}));
+  store.ApplySnapshot("v", "q", Set({1, 2}), 1);
+  store.ApplySnapshot("v", "r", Set({2, 3}), 1);
   EXPECT_EQ(store.SupportCount("v", Tuple{I(1)}), 1u);
   EXPECT_EQ(store.SupportCount("v", Tuple{I(2)}), 2u);
   EXPECT_EQ(store.ContributorCount("v"), 2u);
   EXPECT_EQ(Union(store, "v"), Vec({1, 2, 3}));
 
   // q withdraws tuple 2: r still supports it, so the union keeps it.
-  store.ReplaceSlice("v", "q", Set({1}));
+  store.ApplySnapshot("v", "q", Set({1}), 2);
   EXPECT_EQ(store.SupportCount("v", Tuple{I(2)}), 1u);
   EXPECT_EQ(Union(store, "v"), Vec({1, 2, 3}));
 
   // r withdraws it too: the last supporter is gone.
-  store.ReplaceSlice("v", "r", Set({3}));
+  store.ApplySnapshot("v", "r", Set({3}), 2);
   EXPECT_EQ(store.SupportCount("v", Tuple{I(2)}), 0u);
   EXPECT_EQ(Union(store, "v"), Vec({1, 3}));
 }

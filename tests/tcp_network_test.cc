@@ -160,6 +160,26 @@ TEST(TcpNetworkTest, DeliversAcrossRealSockets) {
   EXPECT_TRUE(WaitUntil([&] { return !a.HasInFlight(); }));
 }
 
+// The receive counters move only after the envelope is in the inbox:
+// a caller that waits for frames_received == K must then collect all K
+// envelopes in one DeliverDue, never find the inbox one short.
+TEST(TcpNetworkTest, FrameCountImpliesTheInboxHoldsTheFrames) {
+  constexpr uint64_t kFrames = 16;
+  TcpNetwork a, b;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  a.AddLocalPeer("alice");
+  b.AddLocalPeer("bob");
+  a.SetPeerAddress("bob", "127.0.0.1", b.port());
+
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(a.Submit(Hello("alice", "bob", i + 1), 0.0).ok());
+  }
+  ASSERT_TRUE(WaitUntil(
+      [&] { return b.TcpStatsSnapshot().frames_received == kFrames; }));
+  EXPECT_EQ(b.DeliverDue(0.0).size(), kFrames);
+}
+
 TEST(TcpNetworkTest, GarbageFrameDropsTheConnection) {
   TcpNetwork net;
   ASSERT_TRUE(net.Start().ok());

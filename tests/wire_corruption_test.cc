@@ -40,11 +40,14 @@ std::vector<Envelope> AllMessageKinds() {
                              Fact("pictures", "jules", {I(2), S("")})}));
   push(Message::FactDeletes({Fact("pictures", "jules", {I(1), S("sea.jpg")})}));
 
-  DerivedSet set;
-  set.target_peer = "jules";
-  set.relation = "attendeePictures";
-  set.tuples = {{I(1), S("a")}, {I(2), Value::MakeBlob(std::string(3, '\0'))}};
-  push(Message::MakeDerivedSet(set));
+  DerivedDelta blob_snapshot;  // a blob with embedded NULs in a tuple
+  blob_snapshot.target_peer = "jules";
+  blob_snapshot.relation = "attendeePictures";
+  blob_snapshot.version = 2;
+  blob_snapshot.snapshot = true;
+  blob_snapshot.inserts = {{I(1), S("a")},
+                           {I(2), Value::MakeBlob(std::string(3, '\0'))}};
+  push(Message::MakeDerivedDelta(blob_snapshot));
 
   DerivedDelta delta;
   delta.target_peer = "jules";
@@ -172,21 +175,43 @@ TEST(WireCorruptionTest, CountWithinGlobalCapStillBoundedByFrameSize) {
   EXPECT_FALSE(r.ok());
 }
 
+// Tag 2 carried the retired full-slice contribution set. No decoder is
+// left for it, so a type-2 frame must fail to decode — not come back as
+// a payload-less message — whether or not payload bytes follow.
+TEST(WireCorruptionTest, RetiredMessageTypeTwoIsRejected) {
+  auto frame = [](uint8_t type, bool with_payload) {
+    WireEncoder enc;
+    enc.PutString("a");  // from
+    enc.PutString("b");  // to
+    enc.PutU64(0);       // seq
+    enc.PutU8(type);
+    if (with_payload) enc.PutString("a");
+    return std::string("WDLM\x01\x00", 6) + enc.buffer();
+  };
+  // Control: the same framing with a live tag (kHello) decodes.
+  ASSERT_TRUE(DecodeEnvelope(frame(5, true)).ok());
+  EXPECT_FALSE(DecodeEnvelope(frame(2, false)).ok());
+  EXPECT_FALSE(DecodeEnvelope(frame(2, true)).ok());
+}
+
 TEST(WireCorruptionTest, NestedCountsBoundedTupleArityAndRuleBody) {
   // Same bound one level down: a tuple claiming 2^20 values inside an
-  // otherwise-valid derived set, and a rule body claiming 2^20 atoms.
-  DerivedSet set;
-  set.target_peer = "jules";
-  set.relation = "r";
-  set.tuples = {{I(1)}};
+  // otherwise-valid snapshot delta, and a rule body claiming 2^20 atoms.
+  DerivedDelta snapshot;
+  snapshot.target_peer = "jules";
+  snapshot.relation = "r";
+  snapshot.version = 1;
+  snapshot.snapshot = true;
+  snapshot.inserts = {{I(1)}};
   Envelope e;
   e.from = "a";
   e.to = "b";
-  e.message = Message::MakeDerivedSet(set);
+  e.message = Message::MakeDerivedDelta(snapshot);
   std::string bytes = EncodeEnvelope(e);
-  // The single tuple is the tail: u32 arity=1 then one int value. Blow
-  // up the arity.
-  const size_t arity_off = bytes.size() - (4 + 1 + 8);  // arity|tag|i64
+  // The single insert sits just before the trailing u32 delete count:
+  // u32 arity=1 then one int value. Blow up the arity.
+  const size_t arity_off =
+      bytes.size() - 4 - (4 + 1 + 8);  // arity|tag|i64, then deletes
   bytes[arity_off + 0] = 0x00;
   bytes[arity_off + 1] = 0x00;
   bytes[arity_off + 2] = 0x10;  // 0x00100000 = 2^20 values claimed

@@ -109,19 +109,25 @@ TEST(WireTest, RuleWithAllTermShapesRoundTrips) {
   EXPECT_EQ(*back, *rule);
 }
 
-TEST(WireTest, DerivedSetRoundTrips) {
-  DerivedSet s;
-  s.target_peer = "jules";
-  s.relation = "attendeePictures";
-  s.tuples = {{I(1), S("a")}, {I(2), S("b")}};
+TEST(WireTest, SnapshotDeltaRoundTrips) {
+  DerivedDelta d;
+  d.target_peer = "jules";
+  d.relation = "attendeePictures";
+  d.version = 3;
+  d.snapshot = true;
+  d.inserts = {{I(1), S("a")}, {I(2), S("b")}};
   Envelope e;
   e.from = "emilien";
   e.to = "jules";
-  e.message = Message::MakeDerivedSet(s);
+  e.message = Message::MakeDerivedDelta(d);
   Envelope back = RoundTrip(e);
-  EXPECT_EQ(back.message.derived.relation, "attendeePictures");
-  ASSERT_EQ(back.message.derived.tuples.size(), 2u);
-  EXPECT_EQ(back.message.derived.tuples[1][1], S("b"));
+  EXPECT_EQ(back.message.type, MessageType::kDerivedDelta);
+  EXPECT_EQ(back.message.delta.relation, "attendeePictures");
+  EXPECT_TRUE(back.message.delta.snapshot);
+  EXPECT_EQ(back.message.delta.version, 3u);
+  ASSERT_EQ(back.message.delta.inserts.size(), 2u);
+  EXPECT_EQ(back.message.delta.inserts[1][1], S("b"));
+  EXPECT_TRUE(back.message.delta.deletes.empty());
 }
 
 TEST(WireTest, RetractAndHelloRoundTrip) {
@@ -210,7 +216,7 @@ TEST(WireTest, RandomBytesNeverCrashDecoder) {
 }
 
 TEST(WireTest, HostileLengthPrefixRejectedWithoutAllocation) {
-  // A DerivedSet claiming 2^24+ tuples in 10 bytes of payload.
+  // A snapshot delta claiming 2^32-1 inserts in a few bytes of payload.
   WireEncoder enc;
   enc.PutEnvelope(Envelope{});  // template for framing
   std::string bytes;
@@ -222,10 +228,13 @@ TEST(WireTest, HostileLengthPrefixRejectedWithoutAllocation) {
     e2.PutString("a");        // from
     e2.PutString("b");        // to
     e2.PutU64(0);             // seq
-    e2.PutU8(2);              // kDerivedSet
+    e2.PutU8(6);              // kDerivedDelta
     e2.PutString("b");        // target
     e2.PutString("rel");      // relation
-    e2.PutU32(0xffffffffu);   // hostile count
+    e2.PutU64(0);             // base version
+    e2.PutU64(1);             // version
+    e2.PutU8(1);              // snapshot
+    e2.PutU32(0xffffffffu);   // hostile insert count
     bytes += e2.buffer();
   }
   Result<Envelope> r = DecodeEnvelope(bytes);
